@@ -10,6 +10,7 @@ dropped).
 """
 
 import json
+import os
 from fractions import Fraction
 
 from .errors import InputError
@@ -166,35 +167,71 @@ def _normalize_affine(vec, const):
     return nv, c
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_rational(x):
+    if isinstance(x, bool):
+        return False
+    try:
+        Fraction(x)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        return False
+    return True
+
+
+def _load_json_source(source):
+    """The decoded JSON document behind a dict, JSON text or file path."""
+    if isinstance(source, dict):
+        return source
+    if not isinstance(source, (str, os.PathLike)):
+        raise InputError("input must be a JSON object, JSON text or a path, "
+                         f"not {type(source).__name__}")
+    source = os.fspath(source)
+    try:
+        if source.lstrip().startswith(("{", "[")):
+            return json.loads(source)
+        with open(source, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise InputError(f"cannot read {source}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InputError(f"malformed JSON input: {exc}") from exc
+
+
 def parse_arrangement(source):
     """Arrangement from the JSON input format.
 
     ``source`` may be a dict, a JSON string, or a path to a JSON file with
     fields  {"l": int, "hyperplanes": [[int, ...], ...],
     "labels": [...]?, "constants": [...]?}.  Input order is preserved.
+    Booleans are not integers here; anything malformed raises InputError.
     """
-    if isinstance(source, dict):
-        data = source
-    else:
-        text = str(source)
-        if "{" not in text:
-            with open(text, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        else:
-            data = json.loads(text)
+    data = _load_json_source(source)
     if not isinstance(data, dict) or "l" not in data or "hyperplanes" not in data:
         raise InputError('input must provide "l" and "hyperplanes"')
     dim = data["l"]
-    if not isinstance(dim, int):
+    if not _is_int(dim):
         raise InputError('"l" must be an integer')
     hyps = data["hyperplanes"]
     if not isinstance(hyps, list):
         raise InputError('"hyperplanes" must be a list of integer vectors')
     for v in hyps:
-        if not isinstance(v, list) or not all(isinstance(x, int) for x in v):
+        if not isinstance(v, list) or not all(_is_int(x) for x in v):
             raise InputError(f"hyperplane {v!r} is not an integer vector")
-    return Arrangement(dim, hyps, constants=data.get("constants"),
-                       labels=data.get("labels"))
+    constants = data.get("constants")
+    if constants is not None:
+        if not isinstance(constants, list) or len(constants) != len(hyps):
+            raise InputError('"constants" must be a list with one rational '
+                             "number per hyperplane")
+        for c in constants:
+            if not _is_rational(c):
+                raise InputError(f"constant {c!r} is not a rational number")
+    labels = data.get("labels")
+    if labels is not None and not isinstance(labels, list):
+        raise InputError('"labels" must be a list')
+    return Arrangement(dim, hyps, constants=constants, labels=labels)
 
 
 class Flat:

@@ -10,7 +10,10 @@ runs of the same job; wall-clock timing appears only in text mode).
 
 Exit codes: 0 success, 1 input error, 2 hypothesis failure (for instance a
 non-zero-dimensional non-free locus, or l >= 5 without
---assume-locally-tame).
+--assume-locally-tame), 3 engine or budget failure (a failed internal
+cross-check, or a degree cap / resolution length exceeded).  A job that
+fails once its flags are valid still prints a schema report, whose
+``error.type`` is ``input``, ``hypothesis``, ``engine`` or ``budget``.
 """
 
 import argparse
@@ -24,7 +27,8 @@ from .arrangements import (build_lattice, decone, parse_arrangement,
 from .chern_csm import (chern_from_resolution, chow_from_chern,
                         csm_complement, csm_of_divisor, defect_coefficient,
                         verify_main_theorem)
-from .errors import HypothesisError, InputError
+from .errors import (HypothesisError, InputError, LogChernError,
+                     NotFiniteLengthError, ResolutionLengthError)
 from .groebner import EngineStats, stats_scope
 from .log_geometry import (defining_data, derivation_module_d0,
                            freeness_test, log_derivations, log_forms,
@@ -251,10 +255,14 @@ _RUNNERS = {
 }
 
 
+_BUDGET_ERRORS = (NotFiniteLengthError, ResolutionLengthError)
+
+
 def run(config):
     """Execute a job; returns (report dict, exit code)."""
     t0 = time.perf_counter()
     stats = EngineStats()
+    arr = None
     try:
         arr = load_arrangement(config.input_path)
         with stats_scope(stats):
@@ -277,6 +285,11 @@ def run(config):
         result = None
         error = {"type": "input", "message": str(exc)}
         code = 1
+    except LogChernError as exc:
+        result = None
+        kind = "budget" if isinstance(exc, _BUDGET_ERRORS) else "engine"
+        error = {"type": kind, "message": str(exc)}
+        code = 3
     elapsed = time.perf_counter() - t0
     report = {
         "schema": SCHEMA,

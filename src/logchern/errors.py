@@ -1,6 +1,9 @@
 """Exception hierarchy.
 
-InputError maps to CLI exit code 1, HypothesisError to exit code 2.
+CLI exit codes: InputError maps to 1, HypothesisError to 2, and every
+other LogChernError to 3, reported as error type ``"budget"`` for
+NotFiniteLengthError and ResolutionLengthError (a degree cap or resolution
+length was exceeded) and ``"engine"`` otherwise (a failed cross-check).
 """
 
 

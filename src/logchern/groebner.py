@@ -7,13 +7,22 @@ coefficient, strip integer content afterwards), so no rational arithmetic
 happens in the inner loops; conversion to monic rational form happens only
 at the public boundary in `modules`.
 
+Reduction keeps the remainder's terms in a heap ordered by the order key
+(smaller key = larger term, see `orders`), so each step pops the leading
+term instead of rescanning the remainder (Monagan & Pearce, CASC 2007).
+Terms that cancel stay in the heap and are skipped when popped.
+
 Pair management follows the Gebauer-Moeller UPDATE routine with the chain
 criterion; the coprimality criterion is applied only when both elements are
 supported in a single component, where the ideal-case proof applies.
+Pairs are selected by the "normal" strategy, lowest degree of the lcm
+first (Giovini et al., ISSAC 1991), and within one degree the smallest lcm
+in the module order first.
 """
 
 import heapq
 from math import gcd
+from operator import add
 
 from .errors import EngineError
 from .orders import POTOrder, SchreyerOrder
@@ -78,7 +87,7 @@ class BasisElem:
 
     def __init__(self, d, order):
         self.d = d
-        lt = max(d, key=order.key)
+        lt = min(d, key=order.key)
         self.lt = lt
         self.lc = d[lt]
         self.lpos, self.lexps = lt
@@ -104,7 +113,7 @@ def sign_normalize(d, order):
     """Flip signs so the leading coefficient is positive."""
     if not d:
         return d
-    lt = max(d, key=order.key)
+    lt = min(d, key=order.key)
     if d[lt] < 0:
         for k in d:
             d[k] = -d[k]
@@ -113,7 +122,7 @@ def sign_normalize(d, order):
 
 def shift_term(term, u):
     pos, exps = term
-    return (pos, tuple(a + b for a, b in zip(exps, u)))
+    return (pos, tuple(map(add, exps, u)))
 
 
 def exps_divide(a, b):
@@ -139,8 +148,14 @@ def reduce_full(d, by_pos, order, *, track=None, exact=False):
     result = {}
     scale = 1
     key = order.key
-    while d:
-        t = max(d, key=key)
+    heap = [(key(t), t) for t in d]
+    heapq.heapify(heap)
+    pop = heapq.heappop
+    push = heapq.heappush
+    while heap:
+        t = pop(heap)[1]
+        if t not in d:
+            continue
         pos, exps = t
         red = None
         idx = -1
@@ -170,11 +185,16 @@ def reduce_full(d, by_pos, order, *, track=None, exact=False):
             if gt == red.lt:
                 continue
             k = shift_term(gt, u)
-            s = d.get(k, 0) - mult_g * gc
+            old = d.get(k)
+            if old is None:
+                d[k] = -mult_g * gc
+                push(heap, (key(k), k))
+                continue
+            s = old - mult_g * gc
             if s:
                 d[k] = s
             else:
-                d.pop(k, None)
+                del d[k]
         if track is not None:
             k = (idx, u)
             s = track.get(k, 0) - mult_g
@@ -234,12 +254,30 @@ def _coprime(g1, g2):
     return all(a == 0 or b == 0 for a, b in zip(g1.lexps, g2.lexps))
 
 
+class _Ascending:
+    """Heap wrapper around an order key: the smaller term compares less."""
+
+    __slots__ = ("k",)
+
+    def __init__(self, k):
+        self.k = k
+
+    def __lt__(self, other):
+        return other.k < self.k
+
+    def __eq__(self, other):
+        return self.k == other.k
+
+
 def buchberger(gens, order, stats=None):
     """Reduced Groebner basis of the submodule generated by ``gens``.
 
     ``gens`` are term->int dicts; the result is a list of BasisElem,
     pairwise tail-reduced, content-free with positive leading coefficients,
-    sorted by ascending leading term.
+    sorted by ascending leading term.  S-pairs are taken lowest lcm degree
+    first, and within one degree smallest lcm first; popping the largest
+    lcm first within a degree makes coefficients grow far faster on
+    inputs with large coefficients.
     """
     local = EngineStats()
     G = []
@@ -281,7 +319,8 @@ def buchberger(gens, order, stats=None):
             if cop:
                 continue
             alive[(i, t)] = L
-            heapq.heappush(heap, (order.key((h.lpos, L)), i, t))
+            heapq.heappush(heap, (sum(L), _Ascending(order.key((h.lpos, L))),
+                                  i, t))
 
     for d in gens:
         d = dict(d)
@@ -289,7 +328,7 @@ def buchberger(gens, order, stats=None):
         if r:
             add_element(r)
     while heap:
-        _, i, j = heapq.heappop(heap)
+        _, _, i, j = heapq.heappop(heap)
         L = alive.pop((i, j), None)
         if L is None:
             continue
@@ -309,7 +348,7 @@ def buchberger(gens, order, stats=None):
 
 def interreduce(G, order):
     """Minimalize and tail-reduce a Groebner basis; canonical output order."""
-    elems = sorted(G, key=lambda g: order.key(g.lt))
+    elems = sorted(G, key=lambda g: order.key(g.lt), reverse=True)
     kept = []
     for g in elems:
         if any(h.lpos == g.lpos and exps_divide(h.lexps, g.lexps)
@@ -325,7 +364,7 @@ def interreduce(G, order):
         r, _ = reduce_full(dict(g.d), by_pos, order)
         sign_normalize(r, order)
         out.append(BasisElem(r, order))
-    out.sort(key=lambda g: order.key(g.lt))
+    out.sort(key=lambda g: order.key(g.lt), reverse=True)
     return out
 
 

@@ -2,8 +2,11 @@
 
 A module term is a pair ``(pos, exps)``: a monomial (exponent tuple) sitting
 in component ``pos`` of a free module.  An order object turns a term into a
-sort key; larger key means larger term.  Keys are memoized per order
-instance, so repeated comparisons during reduction are cheap.
+sort key; a *smaller* key means a *larger* term, so ``min(terms, key=...)``
+is the leading term and a plain min-heap pops terms from the largest down.
+The numeric parts are negated once, when the key is built.  Each order
+instance keeps one memo of its keys, so repeated comparisons during
+reduction are cheap.
 
 Layouts:
 
@@ -20,8 +23,8 @@ Layouts:
 from .errors import InputError
 
 
-def grevlex_tail(exps):
-    return tuple(-e for e in reversed(exps))
+def _neg(exps):
+    return tuple(-e for e in exps)
 
 
 class ModuleOrder:
@@ -33,6 +36,7 @@ class ModuleOrder:
         self._cache = {}
 
     def key(self, term):
+        """Memoized sort key of ``term``; smaller key = larger term."""
         k = self._cache.get(term)
         if k is None:
             k = self._key(term)
@@ -44,7 +48,9 @@ class ModuleOrder:
 
 
 class TOPOrder(ModuleOrder):
-    """Degree-first order: (deg + twist, monomial key, -pos)."""
+    """Degree-first order: higher twisted degree, then the grevlex
+    (reverse-lex) or lex tie-break on the monomial, then the smaller
+    position wins."""
 
     __slots__ = ("kind", "twists")
 
@@ -59,12 +65,13 @@ class TOPOrder(ModuleOrder):
         pos, exps = term
         tw = self.twists[pos] if self.twists is not None else 0
         if self.kind == "grevlex":
-            return (sum(exps) + tw, grevlex_tail(exps), -pos)
-        return (sum(exps) + tw, exps, -pos)
+            return (-sum(exps) - tw, exps[::-1], pos)
+        return (-sum(exps) - tw, _neg(exps), pos)
 
 
 class POTOrder(ModuleOrder):
-    """Elimination order: position dominates, then graded monomial order."""
+    """Elimination order: the smaller position dominates, then grevlex
+    (degree first) or plain lex on the monomial."""
 
     __slots__ = ("kind",)
 
@@ -77,8 +84,8 @@ class POTOrder(ModuleOrder):
     def _key(self, term):
         pos, exps = term
         if self.kind == "grevlex":
-            return (-pos, sum(exps), grevlex_tail(exps))
-        return (-pos, exps)
+            return (pos, -sum(exps), exps[::-1])
+        return (pos, _neg(exps))
 
 
 class SchreyerOrder(ModuleOrder):
@@ -97,7 +104,7 @@ class SchreyerOrder(ModuleOrder):
         pos, exps = term
         lpos, lexps = self.lead_terms[pos]
         image = (lpos, tuple(a + b for a, b in zip(exps, lexps)))
-        return (self.parent.key(image), -pos)
+        return (self.parent.key(image), pos)
 
 
 class MonomialOrder:

@@ -90,6 +90,38 @@ def test_parse_rejects_dimension_mismatch():
         parse_arrangement({"l": 3, "hyperplanes": [[1, 0]]})
 
 
+@pytest.mark.parametrize("source", [
+    [{"l": 2, "hyperplanes": [[1, 0]]}],            # top-level list
+    '[{"l": 2, "hyperplanes": [[1, 0]]}]',          # the same as JSON text
+    {"l": True, "hyperplanes": [[1]]},               # bool as "l"
+    {"l": 2, "hyperplanes": [[1, False], [0, 1]]},   # bool in a normal
+    {"l": 2, "hyperplanes": [[1, 0], [0, 1]], "constants": "ab"},
+    {"l": 2, "hyperplanes": [[1, 0], [0, 1]], "constants": [1]},
+    {"l": 2, "hyperplanes": [[1, 0], [0, 1]], "constants": [1, "x"]},
+    {"l": 2, "hyperplanes": [[1, 0], [0, 1]], "constants": [1, "1/0"]},
+    {"l": 2, "hyperplanes": [[1, 0], [0, 1]], "constants": [1, True]},
+    {"l": 2, "hyperplanes": [[1, 0], [0, 1]], "labels": 5},
+    "no/such/arrangement.json",
+])
+def test_parse_rejects_malformed_input(source):
+    with pytest.raises(InputError):
+        parse_arrangement(source)
+
+
+def test_parse_reads_a_path(tmp_path):
+    path = tmp_path / "two.json"
+    path.write_text('{"l": 2, "hyperplanes": [[1, 0], [0, 1]]}')
+    assert parse_arrangement(path).normals == ((1, 0), (0, 1))
+    assert parse_arrangement(str(path)).normals == ((1, 0), (0, 1))
+
+
+def test_parse_accepts_rational_constants():
+    arr = parse_arrangement({"l": 2, "hyperplanes": [[1, 0], [0, 1]],
+                             "constants": [1, "1/2"]})
+    assert arr.constants == (1, 1)
+    assert arr.normals == ((1, 0), (0, 2))
+
+
 # ----- lattices and Moebius -----
 
 def test_boolean2_lattice():

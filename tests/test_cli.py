@@ -6,7 +6,7 @@ import pytest
 
 from logchern.cli import (JobConfig, bundled_examples, load_arrangement,
                           main, render, run)
-from logchern.errors import InputError
+from logchern.errors import EngineError, InputError
 
 
 def _job(command, input_path, **kw):
@@ -92,6 +92,43 @@ def test_malformed_file_exits_one(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert main(["poincare", str(path)]) == 1
+
+
+def test_top_level_json_list_exits_one(tmp_path, capsys):
+    path = _write(tmp_path, "list.json",
+                  [{"l": 2, "hyperplanes": [[1, 0], [0, 1]]}])
+    assert main(["lattice", path, "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"]["type"] == "input"
+
+
+def test_degree_cap_exceeded_is_a_budget_report(capsys):
+    report, code = run(_job("nval", "example:nonfree_octic", degree_cap=1))
+    assert code == 3
+    assert report["error"]["type"] == "budget"
+    assert "degree cap 1" in report["error"]["message"]
+    assert report["result"] is None
+    assert report["arrangement"]["l"] == 4
+    assert main(["nval", "example:nonfree_octic", "--degree-cap", "1",
+                 "--format", "json"]) == 3
+    printed = json.loads(capsys.readouterr().out)
+    assert printed["schema"] == "logchern/report/v1"
+    assert printed["error"]["type"] == "budget"
+
+
+def test_engine_cross_check_failure_is_an_engine_report(monkeypatch, capsys):
+    from logchern import groebner
+
+    def broken(*args, **kwargs):
+        raise EngineError("cross-check failed")
+
+    monkeypatch.setattr(groebner, "buchberger", broken)
+    report, code = run(_job("verify", "example:boolean_l2"))
+    assert code == 3
+    assert report["error"] == {"type": "engine",
+                               "message": "cross-check failed"}
+    assert main(["verify", "example:boolean_l2"]) == 3
+    assert "error (engine): cross-check failed" in capsys.readouterr().out
 
 
 def test_missing_l5_assertion_exits_two(capsys):

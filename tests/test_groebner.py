@@ -2,12 +2,18 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logchern import (GradedFreeModule, MultiPoly, groebner_basis,
                       kernel_generators, normal_form, syzygies,
                       syzygy_generators)
+from logchern.groebner import (BasisElem, content_normalize, exps_divide,
+                               reduce_full, shift_term)
+from logchern.orders import POTOrder, SchreyerOrder, TOPOrder
 
 
 def _ring(arity, twist=0):
@@ -209,3 +215,113 @@ def test_empty_input_gives_empty_basis():
     assert len(gb) == 0
     x = MultiPoly.variable(2, 0)
     assert normal_form(S.element([x]), gb) == S.element([x])
+
+
+# ----- heap reducer against the linear-scan reducer -----
+
+def _linear_scan_reduce(d, by_pos, order, *, track=None, exact=False):
+    """Reference reducer: the engine's reduction loop before the heap, which
+    rescans the whole remainder for its leading term on every step."""
+    result = {}
+    scale = 1
+    while d:
+        t = min(d, key=order.key)
+        pos, exps = t
+        red = None
+        idx = -1
+        for i, g in by_pos.get(pos, ()):
+            if exps_divide(g.lexps, exps):
+                red = g
+                idx = i
+                break
+        if red is None:
+            result[t] = d.pop(t)
+            continue
+        c = d.pop(t)
+        q = gcd(c, red.lc)
+        mult_all = red.lc // q
+        mult_g = c // q
+        if mult_all != 1:
+            for k in d:
+                d[k] *= mult_all
+            for k in result:
+                result[k] *= mult_all
+            if track is not None:
+                for k in track:
+                    track[k] *= mult_all
+            scale *= mult_all
+        u = tuple(a - b for a, b in zip(exps, red.lexps))
+        for gt, gc in red.d.items():
+            if gt == red.lt:
+                continue
+            k = shift_term(gt, u)
+            s = d.get(k, 0) - mult_g * gc
+            if s:
+                d[k] = s
+            else:
+                d.pop(k, None)
+        if track is not None:
+            k = (idx, u)
+            s = track.get(k, 0) - mult_g
+            if s:
+                track[k] = s
+            else:
+                track.pop(k, None)
+    if not exact:
+        if track is None:
+            content_normalize(result)
+        else:
+            joint = 0
+            for c in result.values():
+                joint = gcd(joint, c)
+            for c in track.values():
+                joint = gcd(joint, c)
+            if joint > 1:
+                for k in result:
+                    result[k] //= joint
+                for k in track:
+                    track[k] //= joint
+    return result, scale
+
+
+_ARITY = 3
+_RANK = 3
+_exps = st.tuples(*[st.integers(0, 2)] * _ARITY)
+_coeff = st.integers(-4, 4).filter(bool)
+_vector = st.dictionaries(st.tuples(st.integers(0, _RANK - 1), _exps),
+                          _coeff, min_size=1, max_size=5)
+
+
+@st.composite
+def _orders(draw):
+    kind = draw(st.sampled_from(["grevlex", "lex"]))
+    layout = draw(st.sampled_from(["TOP", "POT", "Schreyer"]))
+    if layout == "POT":
+        return POTOrder(kind)
+    twists = draw(st.lists(st.integers(-2, 2), min_size=_RANK,
+                           max_size=_RANK))
+    top = TOPOrder(kind, twists)
+    if layout == "TOP":
+        return top
+    # Schreyer order on S^_RANK over leading terms in a rank-2 parent
+    leads = draw(st.lists(st.tuples(st.integers(0, 1), _exps),
+                          min_size=_RANK, max_size=_RANK))
+    return SchreyerOrder(TOPOrder(kind, twists[:2]), leads)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(order=_orders(), basis=st.lists(_vector, min_size=1, max_size=4),
+       d=_vector, tracked=st.booleans(), exact=st.booleans())
+def test_heap_reduce_matches_linear_scan(order, basis, d, tracked, exact):
+    by_pos = {}
+    for i, g in enumerate(basis):
+        elem = BasisElem(g, order)
+        by_pos.setdefault(elem.lpos, []).append((i, elem))
+    seed = {(len(basis), (0,) * _ARITY): 1} if tracked else None
+    want_track = dict(seed) if tracked else None
+    got_track = dict(seed) if tracked else None
+    want = _linear_scan_reduce(dict(d), by_pos, order, track=want_track,
+                               exact=exact)
+    got = reduce_full(dict(d), by_pos, order, track=got_track, exact=exact)
+    assert got == want
+    assert got_track == want_track
