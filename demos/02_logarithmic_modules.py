@@ -3,7 +3,9 @@
 Computes D_0 (derivations annihilating the defining polynomial), Omega^1
 (logarithmic 1-forms) and Omega^1_0 (the relative ones, killed by the
 Euler contraction), their minimal graded free resolutions, freeness tests
-with Saito determinant certificates, and the non-freeness number N.
+with Saito determinant certificates, and the non-freeness number N.  The
+form modules come from Saito duality: Omega^1_0 = D_0^*(-1) and
+Omega^1 = S*(df/f) + Omega^1_0.
 
 Run:  python demos/02_logarithmic_modules.py
 """
@@ -12,6 +14,7 @@ from logchern import (Arrangement, defining_data, derivation_module_d0,
                       freeness_test, hilbert_polynomial, log_derivations,
                       log_forms, module_dual, nonfree_locus,
                       relative_log_forms)
+
 
 def show(title, arr):
     print(title)
@@ -30,8 +33,10 @@ def show(title, arr):
     D = log_derivations(dd, d0)
     print("  D = S*chi + D_0: exponents", freeness_test(D).exponents)
 
-    om1 = log_forms(dd)
-    om0 = relative_log_forms(om1)
+    om0 = relative_log_forms(dd, d0)
+    om1 = log_forms(dd, om0)
+    print("  Omega^1 = S*(df/f) + Omega^1_0: generator degrees",
+          om1.report()["generator_degrees"])
     res = om0.minimal_resolution()
     print("  Omega^1_0 resolution twists:",
           [F.twist_multiset() for F in res.terms], "| pdim:", res.length)

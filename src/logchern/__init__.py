@@ -28,7 +28,7 @@ from .log_geometry import (DefiningData, FreenessReport, LogModule,
                            NonFreeLocusReport, affine_n_value,
                            defining_data, derivation_module_d0,
                            freeness_test, log_derivations, log_forms,
-                           nonfree_locus, per_flat_n_values,
+                           log_modules, nonfree_locus, per_flat_n_values,
                            relative_log_forms)
 from .modules import (FreeModuleElement, GradedFreeModule,
                       GradedModulePresentation, GroebnerBasis,

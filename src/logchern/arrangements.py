@@ -194,10 +194,10 @@ def _load_json_source(source):
             return json.loads(source)
         with open(source, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {source}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON input: {exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: NUL byte, bad UTF-8
+        raise InputError(f"cannot read {source!r}: {exc}") from exc
 
 
 def parse_arrangement(source):

@@ -11,9 +11,7 @@ from math import comb, factorial
 
 from .arrangements import build_lattice, poincare_projective
 from .errors import EngineError, HypothesisError, InputError
-from .log_geometry import (defining_data, derivation_module_d0,
-                           freeness_test, log_forms, nonfree_locus,
-                           relative_log_forms)
+from .log_geometry import freeness_test, log_modules, nonfree_locus
 from .modules import DEGREE_CAP
 from .rings import TruncatedPoly, render_univariate
 
@@ -297,7 +295,9 @@ def verify_main_theorem(arr, assume_locally_tame=False, per_flat_check=False,
     resolution of D_0 (Whitney route).  rhs: CSM class of the complement
     from the intersection lattice.  N: from the graded Ext^1 of Omega^1_0.
     A third route (dualize, correct by the skyscraper factor, twist) must
-    reproduce the lhs exactly or an EngineError is raised.
+    reproduce the lhs exactly, and a free D_0 must satisfy Terao's
+    factorization pi(PA, t) = prod (1 + d_i t) over its exponents d_i, or
+    an EngineError is raised.
     """
     if not arr.is_central:
         raise InputError("the main identity concerns central arrangements")
@@ -315,13 +315,19 @@ def verify_main_theorem(arr, assume_locally_tame=False, per_flat_check=False,
     divisor_csm = csm_of_divisor(pi_proj, l)
 
     # commutative-algebra side
-    dd = defining_data(arr)
-    d0 = derivation_module_d0(dd)
-    lhs_ct = chern_from_resolution(d0.minimal_resolution(), 1, l)
+    _, d0, _, om1, om0 = log_modules(arr)
+    d0_res = d0.minimal_resolution()
+    lhs_ct = chern_from_resolution(d0_res, 1, l)
     lhs = chow_from_chern(lhs_ct)
+    if d0_res.length == 0:
+        terao = ChernPoly.one(l)
+        for d in d0_res.terms[0].twists:
+            terao = terao * ChernPoly(l, [1, d])
+        if terao != _pi_chern(pi_proj, l):
+            raise EngineError(
+                "free arrangement fails Terao's factorization: "
+                f"{terao.render()} vs pi = {pi_proj.render()}")
 
-    om1 = log_forms(dd)
-    om0 = relative_log_forms(om1)
     freeness = freeness_test(om0)
     ct_omega = chern_from_resolution(om0.minimal_resolution(), 1, l)
 
@@ -337,7 +343,8 @@ def verify_main_theorem(arr, assume_locally_tame=False, per_flat_check=False,
     per_flat = None
     cap = degree_cap if degree_cap is not None else DEGREE_CAP
     try:
-        nfl = nonfree_locus(om0, per_flat=per_flat_check, degree_cap=cap)
+        nfl = nonfree_locus(om0, per_flat=per_flat_check, degree_cap=cap,
+                            lattice=lat)
         n_value = nfl.n_projective
         per_flat = nfl.per_flat
         hypotheses["non_free_locus"] = (

@@ -30,9 +30,7 @@ from .chern_csm import (chern_from_resolution, chow_from_chern,
 from .errors import (HypothesisError, InputError, LogChernError,
                      NotFiniteLengthError, ResolutionLengthError)
 from .groebner import EngineStats, stats_scope
-from .log_geometry import (defining_data, derivation_module_d0,
-                           freeness_test, log_derivations, log_forms,
-                           nonfree_locus, relative_log_forms)
+from .log_geometry import freeness_test, log_modules, nonfree_locus
 from .modules import DEGREE_CAP
 
 SCHEMA = "logchern/report/v1"
@@ -44,7 +42,7 @@ _FLAG_COMMANDS = {
     "assume_locally_tame": {"modules", "resolution", "chern", "nval",
                             "verify"},
     "chart": {"nval"},
-    "degree_cap": {"modules", "resolution", "chern", "nval", "verify"},
+    "degree_cap": {"nval"},  # read only by the per-flat length count
     "seed": {"poincare"},
 }
 
@@ -62,6 +60,8 @@ class JobConfig:
             raise InputError(f"unknown command {command!r}")
         if fmt not in ("text", "json"):
             raise InputError(f"unknown output format {fmt!r}")
+        if degree_cap is not None and degree_cap < 0:
+            raise InputError("flag --degree-cap must be non-negative")
         self.command = command
         self.input_path = input_path
         self.fmt = fmt
@@ -111,10 +111,14 @@ def load_arrangement(spec_str):
     try:
         with open(spec_str, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {spec_str}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {spec_str}: {exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: NUL byte, bad UTF-8
+        raise InputError(f"cannot read {spec_str!r}: {exc}") from exc
+    if not isinstance(data, dict):
+        # parse_arrangement would read a JSON string as a file path
+        raise InputError(f"{spec_str} must hold a JSON object, "
+                         f"not {type(data).__name__}")
     return parse_arrangement(data)
 
 
@@ -170,17 +174,8 @@ def _cmd_csm(arr, config):
     }
 
 
-def _log_modules(arr):
-    dd = defining_data(arr)
-    d0 = derivation_module_d0(dd)
-    full_d = log_derivations(dd, d0)
-    om1 = log_forms(dd)
-    om0 = relative_log_forms(om1)
-    return dd, d0, full_d, om1, om0
-
-
 def _cmd_modules(arr, config):
-    dd, d0, full_d, om1, om0 = _log_modules(arr)
+    dd, d0, full_d, om1, om0 = log_modules(arr)
     out = {"f": dd.f.render(), "degree": dd.degree, "modules": {}}
     for lm in (d0, full_d, om1, om0):
         entry = lm.report()
@@ -189,7 +184,7 @@ def _cmd_modules(arr, config):
             entry["freeness"] = fr.to_dict()
         out["modules"][lm.kind] = entry
     try:
-        nfl = nonfree_locus(om0, degree_cap=config.degree_cap)
+        nfl = nonfree_locus(om0)
         out["N"] = nfl.n_projective
         out["cone_dim"] = nfl.cone_dim
     except HypothesisError as exc:
@@ -199,7 +194,7 @@ def _cmd_modules(arr, config):
 
 
 def _cmd_resolution(arr, config):
-    dd, d0, full_d, om1, om0 = _log_modules(arr)
+    _, d0, _, om1, om0 = log_modules(arr)
     return {
         "D0": d0.minimal_resolution().dump(),
         "Omega1": om1.minimal_resolution().dump(),
@@ -208,7 +203,7 @@ def _cmd_resolution(arr, config):
 
 
 def _cmd_chern(arr, config):
-    dd, d0, full_d, om1, om0 = _log_modules(arr)
+    _, d0, _, _, om0 = log_modules(arr)
     l = arr.dim
     ct_dual = chern_from_resolution(d0.minimal_resolution(), 1, l)
     ct_omega = chern_from_resolution(om0.minimal_resolution(), 1, l)
@@ -222,7 +217,7 @@ def _cmd_chern(arr, config):
 
 
 def _cmd_nval(arr, config):
-    dd, d0, full_d, om1, om0 = _log_modules(arr)
+    om0 = log_modules(arr)[-1]
     fr = freeness_test(om0)
     nfl = nonfree_locus(om0, per_flat=True, chart=config.chart,
                         degree_cap=config.degree_cap)
@@ -238,8 +233,7 @@ def _cmd_nval(arr, config):
 
 def _cmd_verify(arr, config):
     rep = verify_main_theorem(
-        arr, assume_locally_tame=config.assume_locally_tame,
-        degree_cap=config.degree_cap)
+        arr, assume_locally_tame=config.assume_locally_tame)
     return rep.to_dict()
 
 
@@ -386,7 +380,7 @@ def build_parser():
         p.add_argument("--chart", type=int, default=None,
                        help="coordinate chart override for per-flat N")
         p.add_argument("--degree-cap", type=int, default=None,
-                       help="cap on Hilbert-function degree loops")
+                       help="cap on the per-point length count (nval)")
         p.add_argument("--seed", type=int, default=None,
                        help="seed for randomized self-checks")
     p = sub.add_parser("examples", help="list bundled arrangement files")

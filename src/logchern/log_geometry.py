@@ -7,26 +7,32 @@ degree d = n):
 * derivations theta = sum a_i d/dz_i are graded by deg(a_i); the Euler
   derivation chi has degree 1;
 * a logarithmic 1-form omega is graded so that f*omega is homogeneous of
-  degree d + deg(omega); its numerator vector lives in (S(d-1))^l;
+  degree d + deg(omega); df/f has degree 0;
 * D_0 is the syzygy module of the partials of f, the kernel of the Euler
-  contraction on derivations; Omega^1_0 is the kernel of the Euler
-  contraction <chi, -> on Omega^1.
+  contraction on derivations, and D = S*chi + D_0;
+* Omega^1_0 is the kernel of the Euler contraction <chi, -> on Omega^1,
+  and Omega^1 = S*(df/f) + Omega^1_0.
 
-The pairing between derivations and forms identifies Hom(Omega^1_0, S)
-with D_0(1), so Hilbert data of duals match up to that twist.
+The contraction <theta, omega> has degree -1 in this grading, and Saito's
+duality Omega^1 = Hom_S(D, S) reads
+
+    Omega^1 = D^*(-1),    Omega^1_0 = D_0^*(-1).
+
+So Omega^1_0 is built as the dual of D_0 (one ``module_dual`` per
+arrangement) and Omega^1 as the direct sum with S*(df/f), just as D is
+built from D_0; the form modules are presented in the dual basis, by the
+values of a form on the generators of D_0.  In an affine chart D is read
+off the kernel of (df, f) and Omega^1 = D^*.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations, product
 
 from .arrangements import Arrangement, build_lattice, localize
 from .errors import EngineError, HypothesisError, InputError
 from .modules import (DEGREE_CAP, FreeModuleElement, GradedFreeModule,
                       GradedModulePresentation, ext1_against_ring,
-                      finite_length, groebner_basis, hilbert_function,
-                      hilbert_polynomial, kernel_generators, krull_dim,
-                      normal_form, presentation_of_submodule)
+                      finite_length, hilbert_polynomial, kernel_generators,
+                      krull_dim, module_dual, presentation_of_submodule)
 from .rings import MultiPoly, poly_product
 
 
@@ -84,18 +90,21 @@ def defining_data(arr):
 class LogModule:
     """One of D, D_0, Omega^1, Omega^1_0 as a concrete presented module.
 
-    ``generators`` are the ambient coordinates of the module generators
-    (coefficient vectors of derivations, numerator vectors of forms).
+    For the derivation modules ``generators`` are the coefficient vectors
+    of the generators in ``ambient`` = S^l.  The form modules come from
+    duality and carry only their presentation (``ambient`` None, no
+    generators).
     """
 
-    __slots__ = ("kind", "presentation", "ambient", "generators", "defining")
+    __slots__ = ("kind", "presentation", "defining", "ambient", "generators")
 
-    def __init__(self, kind, presentation, ambient, generators, defining):
+    def __init__(self, kind, presentation, defining, ambient=None,
+                 generators=()):
         self.kind = kind
         self.presentation = presentation
+        self.defining = defining
         self.ambient = ambient
         self.generators = tuple(generators)
-        self.defining = defining
 
     @property
     def graded(self):
@@ -105,22 +114,30 @@ class LogModule:
         return self.presentation.minimal_resolution()
 
     def report(self):
-        """Summary dict: kind, generator degrees, resolution twists, pdim."""
-        out = {"kind": self.kind,
-               "ambient_rank": self.ambient.rank if self.ambient else 0}
+        """Summary dict: kind, generator degrees, resolution twists, pdim.
+
+        ``ambient_rank`` is l: derivations live in S^l, forms in
+        (1/f) S^l.
+        """
+        out = {"kind": self.kind, "ambient_rank": self.defining.arity}
         if self.graded:
             res = self.minimal_resolution()
             out["generator_degrees"] = sorted(res.terms[0].twists)
             out["resolution_twists"] = [F.twist_multiset() for F in res.terms]
             out["pdim"] = res.length
         else:
-            out["generator_count"] = len(self.generators)
+            out["generator_count"] = self.presentation.target.rank
         return out
 
 
-def _zero_log_module(kind, dd, ambient):
-    pres = GradedModulePresentation.zero(dd.arity, graded=dd.graded)
-    return LogModule(kind, pres, ambient, [], dd)
+def _free_summand_plus(twist, pres):
+    """S(-twist) + M as a presentation, the free summand in front."""
+    arity = pres.arity
+    target = GradedFreeModule(arity, (twist,) + pres.target.twists)
+    zero = MultiPoly.zero(arity)
+    rels = [FreeModuleElement(target, (zero,) + r.components)
+            for r in pres.relations]
+    return GradedModulePresentation(target, rels)
 
 
 def derivation_module_d0(dd):
@@ -140,12 +157,13 @@ def derivation_module_d0(dd):
     gens = [ambient.element(list(k.components)) for k in kernel
             if not k.is_zero()]
     if not gens:
-        return _zero_log_module("D0", dd, ambient)
+        pres = GradedModulePresentation.zero(arity)
+        return LogModule("D0", pres, dd, ambient)
     for g in gens:
         if not g.dot(dd.partials).is_zero():
             raise EngineError("alleged syzygy does not annihilate f")
     pres = presentation_of_submodule(gens)
-    return LogModule("D0", pres, ambient, gens, dd)
+    return LogModule("D0", pres, dd, ambient, gens)
 
 
 def log_derivations(dd, d0=None):
@@ -153,131 +171,36 @@ def log_derivations(dd, d0=None):
     if not dd.graded:
         raise InputError("D is computed for central arrangements")
     d0 = d0 or derivation_module_d0(dd)
-    arity = dd.arity
-    ambient = d0.ambient
-    chi = ambient.element(dd.euler_coefficients())
-    gens = [chi] + list(d0.generators)
-    d0_pres = d0.presentation
-    target = GradedFreeModule(arity, (1,) + tuple(d0_pres.target.twists))
-    rels = []
-    for r in d0_pres.relations:
-        comps = [MultiPoly.zero(arity)] + list(r.components)
-        rels.append(FreeModuleElement(target, comps))
-    pres = GradedModulePresentation(target, rels)
-    return LogModule("D", pres, ambient, gens, dd)
+    chi = d0.ambient.element(dd.euler_coefficients())
+    pres = _free_summand_plus(1, d0.presentation)
+    return LogModule("D", pres, dd, d0.ambient, (chi,) + d0.generators)
 
 
-def log_forms(dd):
-    """Omega^1 via the wedge congruences: numerator vectors g in S^l with
-    f | f_i g_j - f_j g_i for all i < j."""
-    arity = dd.arity
-    zero = MultiPoly.zero(arity)
-    pairs = list(combinations(range(arity), 2))
-    m = len(pairs)
-    graded = dd.graded
-    if graded:
-        H = GradedFreeModule(arity, [0] * m)
-        src_twists = [dd.degree - 1] * arity + [dd.degree] * m
-    else:
-        H = GradedFreeModule(arity, rank=m)
-        src_twists = None
-    cols = []
-    for k in range(arity):
-        comps = []
-        for (i, j) in pairs:
-            if k == j:
-                comps.append(dd.partials[i])
-            elif k == i:
-                comps.append(-dd.partials[j])
-            else:
-                comps.append(zero)
-        cols.append(H.element(comps))
-    for r in range(m):
-        comps = [zero] * m
-        comps[r] = dd.f
-        cols.append(H.element(comps))
-    kernel = kernel_generators(cols, source_twists=src_twists)
-    if graded:
-        ambient = GradedFreeModule(arity, [1 - dd.degree] * arity)
-    else:
-        ambient = GradedFreeModule(arity, rank=arity)
-    gens = []
-    seen = set()
-    for k in kernel:
-        comps = list(k.components[:arity])
-        g = ambient.element(comps)
-        if g.is_zero():
-            continue
-        key = tuple(tuple(sorted(p.terms.items())) for p in comps)
-        if key in seen:
-            continue
-        seen.add(key)
-        gens.append(g)
-    if not gens:
-        raise EngineError("Omega^1 computation produced no generators")
-    pres = presentation_of_submodule(gens)
-    lm = LogModule("Omega1", pres, ambient, gens, dd)
-    if graded:
-        df = ambient.element(list(dd.partials))
-        gb = groebner_basis(list(gens))
-        if not normal_form(df, gb).is_zero():
-            raise EngineError("df/f is missing from Omega^1")
-    return lm
-
-
-def euler_contraction(lm, g):
-    """<chi, omega> = (sum z_i g_i)/f for a numerator vector g in Omega^1."""
-    dd = lm.defining
-    num = g.dot(dd.euler_coefficients())
-    if num.is_zero():
-        return MultiPoly.zero(dd.arity)
-    return num.divide_exact(dd.f)
-
-
-def relative_log_forms(lm, check_split=True):
-    """Omega^1_0 = kernel of the Euler contraction on Omega^1.
-
-    Verifies the splitting Omega^1 = Omega^1_0 + S*(df/f) through Hilbert
-    function additivity in low degrees.
-    """
-    if lm.kind != "Omega1":
-        raise InputError("relative forms are computed from Omega^1")
-    if not lm.graded:
+def relative_log_forms(dd, d0=None):
+    """Omega^1_0 = D_0^*(-1), the forms killed by <chi, ->."""
+    if not dd.graded:
         raise InputError("Omega^1_0 is defined for central arrangements")
-    dd = lm.defining
-    arity = dd.arity
-    values = [euler_contraction(lm, g) for g in lm.generators]
-    S1 = GradedFreeModule(arity, [0])
-    cols = [S1.element([v]) for v in values]
-    combos = kernel_generators(
-        cols, source_twists=[g.degree() for g in lm.generators])
-    gens = []
-    for s in combos:
-        acc = lm.ambient.zero_element()
-        for i, c in enumerate(s.components):
-            if not c.is_zero():
-                acc = acc + lm.generators[i].poly_mul(c)
-        if not acc.is_zero():
-            gens.append(acc)
-    if not gens:
-        out = _zero_log_module("Omega1_0", dd, lm.ambient)
-    else:
-        for g in gens:
-            if not euler_contraction(lm, g).is_zero():
-                raise EngineError("Omega^1_0 generator fails <chi, -> = 0")
-        pres = presentation_of_submodule(gens)
-        out = LogModule("Omega1_0", pres, lm.ambient, gens, dd)
-    if check_split:
-        l = arity
-        from math import comb
-        for k in range(0, 5):
-            lhs = hilbert_function(lm.presentation, k)
-            rhs = hilbert_function(out.presentation, k) \
-                + comb(k + l - 1, l - 1)
-            if lhs != rhs:
-                raise EngineError(
-                    f"Euler splitting fails Hilbert additivity in degree {k}")
-    return out
+    d0 = d0 or derivation_module_d0(dd)
+    return LogModule("Omega1_0", module_dual(d0.presentation).twisted(-1),
+                     dd)
+
+
+def log_forms(dd, om0=None):
+    """Omega^1 = S*(df/f) + Omega^1_0 as a direct sum, df/f in degree 0
+    (the central splitting, dual to D = S*chi + D_0)."""
+    if not dd.graded:
+        raise InputError("Omega^1 is computed for central arrangements")
+    om0 = om0 or relative_log_forms(dd)
+    return LogModule("Omega1", _free_summand_plus(0, om0.presentation), dd)
+
+
+def log_modules(arr):
+    """(defining data, D_0, D, Omega^1, Omega^1_0) of a central
+    arrangement, each built once from D_0 and its dual."""
+    dd = defining_data(arr)
+    d0 = derivation_module_d0(dd)
+    om0 = relative_log_forms(dd, d0)
+    return dd, d0, log_derivations(dd, d0), log_forms(dd, om0), om0
 
 
 class FreenessReport:
@@ -408,13 +331,15 @@ class NonFreeLocusReport:
         return out
 
 
-def nonfree_locus(lm, per_flat=False, chart=None, degree_cap=DEGREE_CAP):
+def nonfree_locus(lm, per_flat=False, chart=None, degree_cap=DEGREE_CAP,
+                  lattice=None):
     """N(PA) from the graded Ext^1 of Omega^1_0 over the cone.
 
     The Hilbert polynomial of Ext^1 is constant once the support is a cone
     over finitely many projective points (cone dimension <= 1); that
     constant is N.  With ``per_flat`` the chart-by-chart affine route of
-    the localization formula is computed and compared.
+    the localization formula is computed (on ``lattice`` when given) and
+    compared.
     """
     if lm.kind != "Omega1_0":
         raise InputError("the non-free locus is read off Omega^1_0")
@@ -437,8 +362,8 @@ def nonfree_locus(lm, per_flat=False, chart=None, degree_cap=DEGREE_CAP):
         n_proj = int(value)
     per = None
     if per_flat:
-        per = per_flat_n_values(lm.defining.arrangement, chart=chart,
-                                degree_cap=degree_cap)
+        per = per_flat_n_values(lm.defining.arrangement, lattice=lattice,
+                                chart=chart, degree_cap=degree_cap)
         if sum(per.values()) != n_proj:
             raise EngineError(
                 f"per-flat N sum {sum(per.values())} disagrees with the "
@@ -447,12 +372,22 @@ def nonfree_locus(lm, per_flat=False, chart=None, degree_cap=DEGREE_CAP):
 
 
 def affine_n_value(arr, degree_cap=DEGREE_CAP):
-    """N of an affine arrangement: length of Ext^1(Omega^1, S) in the chart."""
+    """N of an affine arrangement: length of Ext^1(Omega^1, S) in the chart.
+
+    D is the module of theta with theta(f) in (f), the first l components
+    of the kernel of (f_1, ..., f_l, f), and Omega^1 = D^*.
+    """
     if arr.is_central:
         raise InputError("affine_n_value expects an affine arrangement")
     dd = defining_data(arr)
-    om1 = log_forms(dd)
-    ext1 = ext1_against_ring(om1.presentation)
+    arity = dd.arity
+    S1 = GradedFreeModule(arity, rank=1)
+    kernel = kernel_generators([S1.element([p])
+                                for p in dd.partials + (dd.f,)])
+    ambient = GradedFreeModule(arity, rank=arity)
+    d = presentation_of_submodule([ambient.element(k.components[:arity])
+                                   for k in kernel])
+    ext1 = ext1_against_ring(module_dual(d))
     if krull_dim(ext1) > 0:
         raise HypothesisError("affine non-free locus is not zero-dimensional")
     return finite_length(ext1, degree_cap=degree_cap)
@@ -486,21 +421,6 @@ def per_flat_n_values(arr, lattice=None, chart=None, degree_cap=DEGREE_CAP):
     if not arr.is_central:
         raise InputError("per-flat N values need a central arrangement")
     lat = lattice or build_lattice(arr)
-    flats = lat.flats_of_codim(arr.dim - 1)
-
-    def one(flat):
-        aff = chart_arrangement(arr, flat, chart=chart)
-        return flat, affine_n_value(aff, degree_cap=degree_cap)
-
-    threads = 0
-    raw = os.environ.get("LOGCHERN_THREADS", "0")
-    try:
-        threads = max(0, int(raw))
-    except ValueError:
-        threads = 0
-    if threads > 1 and len(flats) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, flats))
-    else:
-        results = [one(flat) for flat in flats]
-    return dict(results)
+    return {flat: affine_n_value(chart_arrangement(arr, flat, chart=chart),
+                                 degree_cap=degree_cap)
+            for flat in lat.flats_of_codim(arr.dim - 1)}

@@ -1,7 +1,6 @@
 import pytest
 
-from logchern import (Arrangement, build_lattice, defining_data,
-                      derivation_module_d0, log_forms, relative_log_forms,
+from logchern import (Arrangement, build_lattice, log_modules,
                       verify_main_theorem)
 
 OCTIC_NORMALS = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
@@ -11,6 +10,12 @@ GENERIC4 = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
 GENERIC5 = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
             (1, 1, 1, 1)]
 BRAID_TRIPLE = [(1, -1, 0), (1, 0, -1), (0, 1, -1)]
+
+
+def braid(l):
+    """Normals of the braid arrangement z_i - z_j = 0 in C^l."""
+    return [[1 if k == i else -1 if k == j else 0 for k in range(l)]
+            for i in range(l) for j in range(i + 1, l)]
 
 
 def boolean(l):
@@ -31,10 +36,7 @@ def octic_lattice(octic_arrangement):
 @pytest.fixture(scope="session")
 def octic_modules(octic_arrangement):
     """(defining data, D0, Omega1, Omega1_0) for the octic arrangement."""
-    dd = defining_data(octic_arrangement)
-    d0 = derivation_module_d0(dd)
-    om1 = log_forms(dd)
-    om0 = relative_log_forms(om1)
+    dd, d0, _, om1, om0 = log_modules(octic_arrangement)
     return dd, d0, om1, om0
 
 

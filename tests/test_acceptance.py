@@ -47,8 +47,8 @@ def test_criterion_2_algebraic_side(octic_arrangement):
     t0 = time.perf_counter()
     dd = defining_data(octic_arrangement)
     d0 = derivation_module_d0(dd)
-    om1 = log_forms(dd)
-    om0 = relative_log_forms(om1)
+    om0 = relative_log_forms(dd, d0)
+    om1 = log_forms(dd, om0)
     nfl = nonfree_locus(om0)
     assert nfl.n_projective == 3
 
@@ -167,7 +167,7 @@ def test_criterion_7_property_suites(octic_arrangement):
     # resolutions compose to zero and Hilbert alternating sums match 0..10
     from math import comb
     dd = defining_data(Arrangement(3, GENERIC4))
-    om0 = relative_log_forms(log_forms(dd))
+    om0 = relative_log_forms(dd)
     for pres in (om0.presentation,
                  derivation_module_d0(dd).presentation):
         res = pres.minimal_resolution()

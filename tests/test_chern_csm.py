@@ -11,7 +11,7 @@ from logchern import (Arrangement, ChernPoly, GradedFreeModule,
                       verify_denham_schulze, verify_main_theorem,
                       verify_mustata_schenck)
 from logchern.modules import ResolutionData
-from tests.conftest import BRAID_TRIPLE, GENERIC4, GENERIC5, boolean
+from tests.conftest import BRAID_TRIPLE, GENERIC4, GENERIC5, boolean, braid
 
 
 def _free_resolution_of(module):
@@ -235,3 +235,39 @@ def test_verify_rejects_bad_inputs():
         verify_main_theorem(Arrangement(2, [(1, 0)], constants=[1]))
     with pytest.raises(InputError):
         verify_main_theorem(Arrangement(2, []))
+
+
+@pytest.mark.parametrize("arr", [
+    boolean(2), boolean(3), boolean(4), boolean(5),
+    Arrangement(3, BRAID_TRIPLE), Arrangement(4, braid(4)),
+    Arrangement(5, braid(5))],
+    ids=["boolean_l2", "boolean_l3", "boolean_l4", "boolean_l5",
+         "braid_triple", "braid_a3", "braid_a4"])
+def test_terao_factorization_on_free_arrangements(arr):
+    # verify_main_theorem raises unless pi(PA, t) = prod (1 + d_i t) over
+    # the exponents d_i of a free D_0; Omega^1_0 = D_0^*(-1) has the
+    # exponents 1 - d_i, so the product is rebuilt here from the report
+    l = arr.dim
+    rep = verify_main_theorem(arr, assume_locally_tame=l >= 5)
+    assert rep.freeness.is_free
+    product = ChernPoly.one(l)
+    for e in rep.freeness.exponents:
+        product = product * ChernPoly(l, [1, 1 - e])
+    assert product == ChernPoly(l, rep.pi_projective.coeffs)
+    assert rep.holds()
+
+
+def test_verify_reuses_its_lattice_for_the_per_flat_route(
+        octic_arrangement, monkeypatch):
+    from logchern import arrangements, chern_csm, log_geometry
+    built = []
+
+    def counted(arr):
+        built.append(arr)
+        return arrangements.build_lattice(arr)
+
+    for module in (chern_csm, log_geometry):
+        monkeypatch.setattr(module, "build_lattice", counted)
+    rep = verify_main_theorem(octic_arrangement, per_flat_check=True)
+    assert sum(rep.per_flat.values()) == 3
+    assert built == [octic_arrangement]

@@ -1,12 +1,16 @@
 """CLI behavior: commands, formats, exit codes, determinism."""
 
 import json
+from collections import Counter
 
 import pytest
 
+from logchern import PoincarePoly, chern_csm, log_geometry
 from logchern.cli import (JobConfig, bundled_examples, load_arrangement,
                           main, render, run)
 from logchern.errors import EngineError, InputError
+from logchern.modules import DEGREE_CAP
+from tests.conftest import braid
 
 
 def _job(command, input_path, **kw):
@@ -94,6 +98,24 @@ def test_malformed_file_exits_one(tmp_path):
     assert main(["poincare", str(path)]) == 1
 
 
+def test_json_string_document_is_not_read_as_a_path(tmp_path, capsys):
+    # a file holding a JSON string must not send the parser to that path
+    target = _write(tmp_path, "real.json", {"l": 2, "hyperplanes": [[1, 0]]})
+    for payload in (target, "\u0000"):
+        path = _write(tmp_path, "string.json", payload)
+        assert main(["lattice", path, "--format", "json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["error"]["type"] == "input"
+        assert "JSON object" in report["error"]["message"]
+
+
+def test_unreadable_bytes_exit_one(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b"\xff\xfe{")
+    assert main(["lattice", str(path)]) == 1
+    assert main(["lattice", "bad\0name.json"]) == 1
+
+
 def test_top_level_json_list_exits_one(tmp_path, capsys):
     path = _write(tmp_path, "list.json",
                   [{"l": 2, "hyperplanes": [[1, 0], [0, 1]]}])
@@ -129,6 +151,38 @@ def test_engine_cross_check_failure_is_an_engine_report(monkeypatch, capsys):
                                "message": "cross-check failed"}
     assert main(["verify", "example:boolean_l2"]) == 3
     assert "error (engine): cross-check failed" in capsys.readouterr().out
+
+
+def test_terao_factorization_failure_is_an_engine_report(monkeypatch):
+    real = chern_csm.poincare_projective
+
+    def off_by_one(arr, lattice=None):
+        pi = real(arr, lattice)
+        return PoincarePoly(pi.coeffs[:-1] + (pi.coeffs[-1] + 1,))
+
+    monkeypatch.setattr(chern_csm, "poincare_projective", off_by_one)
+    report, code = run(_job("verify", "example:boolean_l3", fmt="json"))
+    assert code == 3
+    assert report["error"]["type"] == "engine"
+    assert "Terao" in report["error"]["message"]
+    assert report["result"] is None
+
+
+def test_verify_braid_a4(tmp_path):
+    # all z_i - z_j in C^5: free with D_0 exponents (0, 2, 3, 4)
+    path = _write(tmp_path, "braid_a4.json", {"l": 5, "hyperplanes": braid(5)})
+    report, code = run(_job("verify", path, fmt="json",
+                            assume_locally_tame=True))
+    assert code == 0
+    res = report["result"]
+    assert res["N"] == 0
+    assert res["residual"] == [0, 0, 0, 0, 0]
+    assert res["lhs"] == res["csm"] == [1, -5, 5, 5, -6]
+    assert res["pi_projective"] == [1, 9, 26, 24]  # (1+2t)(1+3t)(1+4t)
+    assert res["freeness"]["kind"] == "Omega1_0"
+    assert res["freeness"]["is_free"] is True
+    # Omega^1_0 = D_0^*(-1) has the exponents 1 - d_i
+    assert sorted(1 - e for e in res["freeness"]["exponents"]) == [0, 2, 3, 4]
 
 
 def test_missing_l5_assertion_exits_two(capsys):
@@ -169,6 +223,24 @@ def test_flag_validation_against_command():
         _job("csm", "example:boolean_l2", chart=1)
     # and via the real argv path
     assert main(["verify", "example:boolean_l2", "--seed", "3"]) == 1
+
+
+def test_negative_degree_cap_is_an_input_error(capsys):
+    with pytest.raises(InputError):
+        _job("nval", "example:nonfree_octic", degree_cap=-1)
+    assert main(["nval", "example:nonfree_octic", "--degree-cap", "-1"]) == 1
+    assert "non-negative" in capsys.readouterr().err
+
+
+def test_degree_cap_is_an_nval_flag():
+    for command in ("modules", "resolution", "chern", "verify"):
+        with pytest.raises(InputError):
+            _job(command, "example:boolean_l2", degree_cap=10)
+        flags = _job(command, "example:boolean_l2").flags_dict()
+        assert flags["degree_cap"] == DEGREE_CAP
+    flags = _job("nval", "example:boolean_l2", degree_cap=10).flags_dict()
+    assert flags["degree_cap"] == 10
+    assert main(["verify", "example:boolean_l2", "--degree-cap", "5"]) == 1
 
 
 def test_unknown_example_exits_one():
@@ -223,3 +295,30 @@ def test_lattice_command_counts():
     mus = [f["mu"] for level in report["result"]["levels"]
            for f in level["flats"]]
     assert mus == [1, -1, -1, 1]
+
+
+@pytest.mark.parametrize("command",
+                         ["verify", "nval", "modules", "chern", "resolution"])
+def test_each_job_builds_every_log_module_once(command, monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn, central_only=False):
+        def wrapper(*args, **kwargs):
+            if not central_only or args[0].graded:
+                calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("derivation_module_d0", "log_derivations",
+                 "relative_log_forms", "log_forms"):
+        monkeypatch.setattr(log_geometry, name,
+                            counted(name, getattr(log_geometry, name)))
+    # affine charts of the per-point check dualize their own D
+    monkeypatch.setattr(log_geometry, "module_dual",
+                        counted("module_dual", log_geometry.module_dual,
+                                central_only=True))
+    report, code = run(_job(command, "example:nonfree_octic"))
+    assert code == 0
+    assert calls == {"derivation_module_d0": 1, "log_derivations": 1,
+                     "relative_log_forms": 1, "log_forms": 1,
+                     "module_dual": 1}
