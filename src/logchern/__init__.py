@@ -36,8 +36,7 @@ from .modules import (FreeModuleElement, GradedFreeModule,
                       free_resolution, groebner_basis, hilbert_function,
                       hilbert_polynomial, kernel_generators, krull_dim,
                       module_dual, normal_form, presentation_of_submodule,
-                      syzygies, syzygy_generators)
-from .orders import MonomialOrder
+                      syzygies)
 from .rings import MultiPoly, TruncatedPoly, UniPolyQ
 
 __version__ = "0.1.0"

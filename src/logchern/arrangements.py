@@ -14,8 +14,7 @@ import os
 from fractions import Fraction
 
 from .errors import InputError
-from .rings import UniPolyQ, render_univariate, vec_primitive, \
-    rational_vec_primitive
+from .rings import render_univariate, vec_primitive, rational_vec_primitive
 
 
 def rref(rows):
@@ -181,6 +180,18 @@ def _is_rational(x):
     return True
 
 
+def read_json_file(path):
+    """The decoded JSON document in the file at ``path``; any failure to
+    open, decode or parse it is an InputError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"malformed JSON in {path}: {exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: NUL byte, bad UTF-8
+        raise InputError(f"cannot read {path!r}: {exc}") from exc
+
+
 def _load_json_source(source):
     """The decoded JSON document behind a dict, JSON text or file path."""
     if isinstance(source, dict):
@@ -189,15 +200,12 @@ def _load_json_source(source):
         raise InputError("input must be a JSON object, JSON text or a path, "
                          f"not {type(source).__name__}")
     source = os.fspath(source)
+    if not source.lstrip().startswith(("{", "[")):
+        return read_json_file(source)
     try:
-        if source.lstrip().startswith(("{", "[")):
-            return json.loads(source)
-        with open(source, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        return json.loads(source)
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON input: {exc}") from exc
-    except (OSError, ValueError) as exc:  # ValueError: NUL byte, bad UTF-8
-        raise InputError(f"cannot read {source!r}: {exc}") from exc
 
 
 def parse_arrangement(source):
@@ -311,9 +319,6 @@ class IntersectionLattice:
     def bottom(self):
         return self.levels[0][0]
 
-    def contains_flat(self, flat):
-        return any(flat == g for g in self.flats_of_codim(flat.codim))
-
     def mobius(self, flat):
         if self.mobius_values is None:
             compute_mobius(self)
@@ -335,8 +340,15 @@ class IntersectionLattice:
 
 
 def build_lattice(arr):
-    """All flats by breadth-first intersection, deduplicated by canonical
-    echelon form.  Affine mode drops empty intersections."""
+    """All flats by breadth-first intersection.  Affine mode drops empty
+    intersections.
+
+    A flat is keyed by the canonical reduced echelon form of its equations
+    (augmented with the constants column in the affine case, which is
+    canonical for consistent systems).  Each new level looks the key up
+    before taking the closure, so every flat's closure is computed once.
+    Codimension equals rank, so two levels never share a flat.
+    """
     dim = arr.dim
     affine = not arr.is_central
     if affine:
@@ -357,29 +369,24 @@ def build_lattice(arr):
                 return False
         return True
 
-    bottom = Flat(closure(()), (), 0, dim, affine)
-    levels = [[bottom]]
-    current = {bottom.indices: bottom}
-    seen = {bottom.indices}
+    current = [Flat(closure(()), (), 0, dim, affine)]
+    levels = [current]
     while True:
         nxt = {}
-        for flat in current.values():
+        for flat in current:
             for h in range(arr.n):
                 if h in flat.indices:
                     continue
                 eqs = rref(flat.equations + (eqrows[h],))
-                if not consistent(eqs):
+                if (eqs in nxt or len(eqs) != flat.codim + 1
+                        or not consistent(eqs)):
                     continue
-                if len(eqs) != flat.codim + 1:
-                    continue
-                idx = closure(eqs)
-                if idx not in nxt and idx not in seen:
-                    nxt[idx] = Flat(idx, eqs, flat.codim + 1, dim, affine)
+                nxt[eqs] = Flat(closure(eqs), eqs, flat.codim + 1, dim,
+                                affine)
         if not nxt:
             break
-        levels.append(list(nxt.values()))
-        seen |= set(nxt)
-        current = nxt
+        current = list(nxt.values())
+        levels.append(current)
     return IntersectionLattice(arr, levels)
 
 
@@ -431,9 +438,6 @@ class PoincarePoly:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def as_unipoly(self):
-        return UniPolyQ(list(self.coeffs))
 
     def divide_by_one_plus_t(self):
         """Exact quotient by (1 + t); raises if the division is inexact."""

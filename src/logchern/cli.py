@@ -23,7 +23,8 @@ import time
 from importlib import resources
 
 from .arrangements import (build_lattice, decone, parse_arrangement,
-                           poincare_affine, poincare_projective)
+                           poincare_affine, poincare_projective,
+                           read_json_file)
 from .chern_csm import (chern_from_resolution, chow_from_chern,
                         csm_complement, csm_of_divisor, defect_coefficient,
                         verify_main_theorem)
@@ -108,13 +109,7 @@ def load_arrangement(spec_str):
                 return parse_arrangement(path)
         raise InputError(
             f"unknown bundled example {name!r}; see `logchern examples`")
-    try:
-        with open(spec_str, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed JSON in {spec_str}: {exc}") from exc
-    except (OSError, ValueError) as exc:  # ValueError: NUL byte, bad UTF-8
-        raise InputError(f"cannot read {spec_str!r}: {exc}") from exc
+    data = read_json_file(spec_str)
     if not isinstance(data, dict):
         # parse_arrangement would read a JSON string as a file path
         raise InputError(f"{spec_str} must hold a JSON object, "

@@ -58,7 +58,11 @@ _SCOPED_STATS = []
 
 
 class stats_scope:
-    """Collect engine counters from every call made inside the scope."""
+    """Collect engine counters from every call made inside the scope.
+
+    Scopes nest; every open scope receives each engine call once.  This is
+    the only way engine counters are read.
+    """
 
     def __init__(self, stats):
         self.stats = stats
@@ -72,12 +76,9 @@ class stats_scope:
         return False
 
 
-def _publish(local, stats):
-    if stats is not None:
-        stats.merge(local)
+def _publish(local):
     for s in _SCOPED_STATS:
-        if s is not stats:
-            s.merge(local)
+        s.merge(local)
 
 
 class BasisElem:
@@ -269,7 +270,7 @@ class _Ascending:
         return self.k == other.k
 
 
-def buchberger(gens, order, stats=None):
+def buchberger(gens, order):
     """Reduced Groebner basis of the submodule generated by ``gens``.
 
     ``gens`` are term->int dicts; the result is a list of BasisElem,
@@ -342,7 +343,7 @@ def buchberger(gens, order, stats=None):
             add_element(r)
         else:
             local.zero_reductions += 1
-    _publish(local, stats)
+    _publish(local)
     return interreduce(G, order)
 
 
@@ -387,7 +388,7 @@ def schreyer_sort(gb):
     return sorted(gb, key=lambda g: (g.lpos, tuple(-e for e in g.lexps)))
 
 
-def schreyer_syzygies(gb, order, stats=None):
+def schreyer_syzygies(gb, order):
     """Syzygies of a Groebner basis via S-pair reductions.
 
     Returns ``(syzygies, schreyer_order)``: the syzygies are term->int
@@ -416,11 +417,11 @@ def schreyer_syzygies(gb, order, stats=None):
             local.zero_reductions += 1
             sign_normalize(rep, sorder)
             syzygies.append(rep)
-    _publish(local, stats)
+    _publish(local)
     return syzygies, sorder
 
 
-def kernel_raw(columns, target_rank, arity, order_kind="grevlex", stats=None):
+def kernel_raw(columns, target_rank, arity):
     """Generators of the kernel of e_j -> columns[j] via POT elimination.
 
     ``columns`` are term->int dicts over target positions 0..target_rank-1.
@@ -434,8 +435,7 @@ def kernel_raw(columns, target_rank, arity, order_kind="grevlex", stats=None):
         d = {(p, e): c for (p, e), c in col.items()}
         d[(target_rank + j, zero)] = 1
         gens.append(d)
-    order = POTOrder(order_kind)
-    gb = buchberger(gens, order, stats=stats)
+    gb = buchberger(gens, POTOrder())
     kernel = []
     for g in gb:
         if g.lpos >= target_rank:

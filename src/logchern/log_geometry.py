@@ -150,9 +150,7 @@ def derivation_module_d0(dd):
     arity = dd.arity
     S1 = GradedFreeModule(arity, [0])
     cols = [S1.element([p]) for p in dd.partials]
-    kernel = kernel_generators(cols,
-                               source_twists=[dd.degree - 1] * arity,
-                               stats=None)
+    kernel = kernel_generators(cols, source_twists=[dd.degree - 1] * arity)
     ambient = GradedFreeModule(arity, [0] * arity)
     gens = [ambient.element(list(k.components)) for k in kernel
             if not k.is_zero()]

@@ -15,8 +15,7 @@ from math import comb, gcd
 from . import groebner as eng
 from .errors import (EngineError, InputError, NotFiniteLengthError,
                      ResolutionLengthError)
-from .groebner import EngineStats
-from .orders import MonomialOrder, TOPOrder
+from .orders import TOPOrder
 from .rings import MultiPoly, UniPolyQ, binomial_poly, normalize_coeff
 
 DEGREE_CAP = 200
@@ -46,11 +45,6 @@ class GradedFreeModule:
 
     def element(self, components):
         return FreeModuleElement(self, components)
-
-    def basis_element(self, j):
-        comps = [MultiPoly.zero(self.arity) for _ in range(self.rank)]
-        comps[j] = MultiPoly.one(self.arity)
-        return FreeModuleElement(self, comps)
 
     def zero_element(self):
         return FreeModuleElement(
@@ -136,10 +130,6 @@ class FreeModuleElement:
     def __neg__(self):
         return FreeModuleElement(self.module, [-a for a in self.components])
 
-    def scale(self, c):
-        return FreeModuleElement(self.module,
-                                 [p * c for p in self.components])
-
     def poly_mul(self, p):
         return FreeModuleElement(self.module,
                                  [q * p for q in self.components])
@@ -211,22 +201,15 @@ def _engine_degree(basis_elem, twists):
     return sum(exps) + twists[pos]
 
 
-def default_order(module):
-    return MonomialOrder("grevlex", "TOP", module.twists)
-
-
 class GroebnerBasis:
     """Reduced Groebner basis of a submodule, with reusable engine state."""
 
-    __slots__ = ("module", "order", "elements", "stats", "_engine_gb",
-                 "_engine_order")
+    __slots__ = ("module", "elements", "_engine_gb", "_engine_order")
 
-    def __init__(self, module, order, engine_gb, engine_order, stats):
+    def __init__(self, module, engine_gb, engine_order):
         self.module = module
-        self.order = order
         self._engine_gb = engine_gb
         self._engine_order = engine_order
-        self.stats = stats
         self.elements = [from_engine(g.d, module, divisor=g.lc)
                          for g in engine_gb]
 
@@ -236,12 +219,10 @@ class GroebnerBasis:
     def __iter__(self):
         return iter(self.elements)
 
-    def lead_terms(self):
-        return [g.lt for g in self._engine_gb]
 
-
-def groebner_basis(gens, order=None, stats=None, module=None):
-    """Reduced Groebner basis of the submodule generated by ``gens``.
+def groebner_basis(gens, module=None):
+    """Reduced Groebner basis of the submodule generated by ``gens``, in
+    the TOP grevlex order with the module's twists.
 
     Empty input yields the empty basis; the ambient ``module`` must then
     be supplied explicitly.
@@ -249,19 +230,15 @@ def groebner_basis(gens, order=None, stats=None, module=None):
     if not gens:
         if module is None:
             raise InputError("empty generator list needs an explicit module")
-        order = order or default_order(module)
-        return GroebnerBasis(module, order, [], order.engine(),
-                             stats if stats is not None else EngineStats())
+        return GroebnerBasis(module, [], TOPOrder("grevlex", module.twists))
     module = gens[0].module
     for g in gens:
         if g.module != module:
             raise InputError("generators live in different free modules")
-    order = order or default_order(module)
-    eorder = order.engine()
-    stats = stats if stats is not None else EngineStats()
+    order = TOPOrder("grevlex", module.twists)
     engine_gb = eng.buchberger(
-        [to_engine(g) for g in gens if not g.is_zero()], eorder, stats=stats)
-    return GroebnerBasis(module, order, engine_gb, eorder, stats)
+        [to_engine(g) for g in gens if not g.is_zero()], order)
+    return GroebnerBasis(module, engine_gb, order)
 
 
 def normal_form(elem, gb):
@@ -289,7 +266,7 @@ def syzygies(gb):
     return [from_engine(g.d, src, divisor=g.lc) for g in elems]
 
 
-def kernel_generators(columns, source_twists=None, stats=None):
+def kernel_generators(columns, source_twists=None):
     """Generators of the kernel of the map  ⊕_j S(-t_j) -> F,  e_j -> c_j.
 
     ``source_twists`` fixes the grading of the source; when omitted it is
@@ -309,8 +286,7 @@ def kernel_generators(columns, source_twists=None, stats=None):
     else:
         source = GradedFreeModule(target.arity, rank=len(columns))
     scaled = [to_engine_scaled(c) for c in columns]
-    raw = eng.kernel_raw([d for d, _ in scaled], target.rank,
-                         target.arity, stats=stats)
+    raw = eng.kernel_raw([d for d, _ in scaled], target.rank, target.arity)
     factors = [f for _, f in scaled]
     order = TOPOrder("grevlex", source.twists)
     out = []
@@ -325,11 +301,6 @@ def kernel_generators(columns, source_twists=None, stats=None):
     return out
 
 
-def syzygy_generators(gens, stats=None):
-    """Syzygies of an arbitrary generator list, via the elimination kernel."""
-    return kernel_generators(gens, stats=stats)
-
-
 class GradedModulePresentation:
     """M = coker(relations: F_1 -> F_0) with F_0 = ``target``.
 
@@ -337,7 +308,7 @@ class GradedModulePresentation:
     twists lowered by ``shift``.
     """
 
-    __slots__ = ("target", "relations", "_gb", "_minres", "stats")
+    __slots__ = ("target", "relations", "_gb", "_minres")
 
     def __init__(self, target, relations, shift=0):
         if shift and target.graded:
@@ -357,7 +328,6 @@ class GradedModulePresentation:
         self.relations = tuple(rels)
         self._gb = None
         self._minres = None
-        self.stats = EngineStats()
 
     @property
     def arity(self):
@@ -382,19 +352,24 @@ class GradedModulePresentation:
         return GradedModulePresentation(self.target, self.relations, shift=s)
 
     def relation_gb(self):
-        """Groebner basis of the relation submodule; None when free."""
-        if self._gb is None and self.relations:
-            self._gb = groebner_basis(list(self.relations), stats=self.stats)
+        """``(basis, order)``: the reduced engine Groebner basis of the
+        relations in ``TOPOrder("grevlex", twists)``, computed once; every
+        Hilbert, dimension and resolution query starts from it.  The basis
+        is empty when the module is free."""
+        if self._gb is None:
+            order = TOPOrder("grevlex", self.target.twists)
+            basis = []
+            if self.relations:
+                basis = eng.buchberger(
+                    [to_engine(r) for r in self.relations], order)
+            self._gb = (basis, order)
         return self._gb
 
     def lead_exponents(self):
         """Per position, minimal generators of the leading-term ideal."""
         out = [[] for _ in range(self.target.rank)]
-        gb = self.relation_gb()
-        if gb is None:
-            return out
-        for pos, exps in gb.lead_terms():
-            out[pos].append(exps)
+        for g in self.relation_gb()[0]:
+            out[g.lpos].append(g.lexps)
         for j in range(self.target.rank):
             kept = []
             for e in sorted(out[j]):
@@ -481,7 +456,7 @@ def _is_unit_entry(p):
     return bool(p.terms) and set(p.terms) == {(0,) * p.arity}
 
 
-def free_resolution(pres, max_len=None, minimal=None, stats=None):
+def free_resolution(pres, max_len=None, minimal=None):
     """Free resolution of a presented module by iterated Schreyer syzygies.
 
     Graded presentations are minimalized (no unit entries remain); the
@@ -496,13 +471,8 @@ def free_resolution(pres, max_len=None, minimal=None, stats=None):
     if minimal and not graded:
         raise InputError("minimal resolutions are only defined when graded")
     cap = max_len if max_len is not None else arity + 1
-    stats = stats if stats is not None else pres.stats
     F0 = pres.target
-    if not pres.relations or F0.rank == 0:
-        return ResolutionData([F0], [], minimal=True)
-    order0 = TOPOrder("grevlex", F0.twists)
-    gb = eng.buchberger([to_engine(r) for r in pres.relations], order0,
-                        stats=stats)
+    gb, order0 = pres.relation_gb()
     if not gb:
         return ResolutionData([F0], [], minimal=True)
     terms = [F0]
@@ -521,7 +491,7 @@ def free_resolution(pres, max_len=None, minimal=None, stats=None):
         if len(chain) > cap:
             raise ResolutionLengthError(
                 f"resolution exceeded {cap} steps; raise max_len")
-        syz, sorder = eng.schreyer_syzygies(current, corder, stats=stats)
+        syz, sorder = eng.schreyer_syzygies(current, corder)
         syz = [d for d in syz if d]
         if not syz:
             break
@@ -748,7 +718,7 @@ def _transpose_columns(cols, source, target_dual):
     return out
 
 
-def presentation_of_submodule(gens, stats=None):
+def presentation_of_submodule(gens):
     """Presentation of the submodule generated by ``gens`` of a free module."""
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -758,7 +728,7 @@ def presentation_of_submodule(gens, stats=None):
         target = GradedFreeModule(ambient.arity, [g.degree() for g in gens])
     else:
         target = GradedFreeModule(ambient.arity, rank=len(gens))
-    rels = kernel_generators(gens, stats=stats)
+    rels = kernel_generators(gens)
     rels = [FreeModuleElement(target, r.components) for r in rels]
     return GradedModulePresentation(target, rels)
 
@@ -777,16 +747,15 @@ def module_dual(pres):
         F1 = GradedFreeModule(F0.arity, rank=len(rels))
     F1_dual = F1.dual()
     cols_T = _transpose_columns(rels, F0, F1_dual)
-    kernel = kernel_generators(cols_T, source_twists=F0_dual.twists,
-                               stats=pres.stats)
+    kernel = kernel_generators(cols_T, source_twists=F0_dual.twists)
     kernel = [k for k in kernel if not k.is_zero()]
     if not kernel:
         return GradedModulePresentation.zero(pres.arity, graded=F0.graded)
     gens = [FreeModuleElement(F0_dual, k.components) for k in kernel]
-    return presentation_of_submodule(gens, stats=pres.stats)
+    return presentation_of_submodule(gens)
 
 
-def ext1_against_ring(pres, stats=None):
+def ext1_against_ring(pres):
     """Ext^1_S(M, S) as homology of the dualized resolution at step 1."""
     graded = pres.graded
     if graded:
@@ -803,8 +772,7 @@ def ext1_against_ring(pres, stats=None):
     F2 = res.terms[2]
     F2d = F2.dual()
     phi2_T = _transpose_columns(res.maps[1], F1, F2d)
-    kernel = kernel_generators(phi2_T, source_twists=F1d.twists,
-                               stats=stats if stats is not None else pres.stats)
+    kernel = kernel_generators(phi2_T, source_twists=F1d.twists)
     kernel = [k for k in kernel if not k.is_zero()]
     if not kernel:
         return GradedModulePresentation.zero(pres.arity, graded=graded)
@@ -815,8 +783,7 @@ def ext1_against_ring(pres, stats=None):
         src_twists = [k.degree() for k in k_elems] + list(F0d.twists)
     else:
         src_twists = None
-    syz = kernel_generators(combined, source_twists=src_twists,
-                            stats=stats if stats is not None else pres.stats)
+    syz = kernel_generators(combined, source_twists=src_twists)
     if graded:
         target = GradedFreeModule(pres.arity, [k.degree() for k in k_elems])
     else:

@@ -105,33 +105,3 @@ class SchreyerOrder(ModuleOrder):
         lpos, lexps = self.lead_terms[pos]
         image = (lpos, tuple(a + b for a, b in zip(exps, lexps)))
         return (self.parent.key(image), pos)
-
-
-class MonomialOrder:
-    """User-facing order description (kind + position policy + twists).
-
-    ``engine()`` materializes the corresponding internal order object.
-    """
-
-    __slots__ = ("kind", "position", "twists")
-
-    def __init__(self, kind="grevlex", position="TOP", twists=None):
-        if kind not in ("grevlex", "lex"):
-            raise InputError(f"unknown monomial order kind {kind!r}")
-        if position not in ("TOP", "POT"):
-            raise InputError(f"unknown position policy {position!r}")
-        self.kind = kind
-        self.position = position
-        self.twists = tuple(twists) if twists is not None else None
-
-    def engine(self):
-        if self.position == "TOP":
-            return TOPOrder(self.kind, self.twists)
-        return POTOrder(self.kind)
-
-    def __repr__(self):
-        return (f"MonomialOrder(kind={self.kind!r}, position={self.position!r}, "
-                f"twists={self.twists!r})")
-
-
-GREVLEX = MonomialOrder("grevlex", "TOP")

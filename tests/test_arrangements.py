@@ -8,8 +8,9 @@ import pytest
 from logchern import (Arrangement, InputError, build_lattice, decone,
                       essentialize, localize, mobius, parse_arrangement,
                       poincare_affine, poincare_projective)
+from logchern import arrangements
 from logchern.arrangements import in_row_span, rref
-from tests.conftest import OCTIC_NORMALS, boolean
+from tests.conftest import OCTIC_NORMALS, boolean, braid
 
 
 # ----- brute-force oracle -----
@@ -54,6 +55,19 @@ def random_central(rng):
             normals.add(vec_primitive(v))
         if len(normals) == n:
             return Arrangement(l, sorted(normals))
+
+
+def random_generic(rng, l, n):
+    """n planes in C^l with coefficients in [-3, 3], any l of them
+    independent."""
+    normals = []
+    while len(normals) < n:
+        v = tuple(rng.randint(-3, 3) for _ in range(l))
+        if all(len(rref(list(sub) + [v])) == min(l, len(sub) + 1)
+               for k in range(min(l - 1, len(normals)) + 1)
+               for sub in combinations(normals, k)):
+            normals.append(v)
+    return Arrangement(l, normals)
 
 
 # ----- parsing -----
@@ -244,9 +258,24 @@ def test_decone_factorization_and_independence():
 
 def test_random_lattices_match_brute_force():
     rng = random.Random(77)
-    for _ in range(10):
-        arr = random_central(rng)
+    arrs = [random_central(rng) for _ in range(10)]
+    arrs += [Arrangement(5, braid(5)), random_generic(rng, 4, 10)]
+    for arr in arrs:
         assert lattice_flats(build_lattice(arr)) == brute_force_flats(arr)
+
+
+@pytest.mark.parametrize("arr", [Arrangement(5, braid(5)),
+                                 decone(Arrangement(5, braid(5)), 0)],
+                         ids=["braid_a4", "braid_a4_deconed"])
+def test_build_lattice_takes_one_closure_per_flat(arr, monkeypatch):
+    calls = []
+
+    def counted(vec, rows):
+        calls.append(1)
+        return in_row_span(vec, rows)
+    monkeypatch.setattr(arrangements, "in_row_span", counted)
+    lat = build_lattice(arr)
+    assert len(calls) == arr.n * len(list(lat.all_flats()))
 
 
 # ----- localization and essentialization -----

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logchern import (GradedFreeModule, MultiPoly, groebner_basis,
-                      kernel_generators, normal_form, syzygies,
-                      syzygy_generators)
+from logchern import (EngineStats, GradedFreeModule, MultiPoly,
+                      groebner_basis, kernel_generators, normal_form,
+                      presentation_of_submodule, stats_scope, syzygies)
 from logchern.groebner import (BasisElem, content_normalize, exps_divide,
                                reduce_full, shift_term)
 from logchern.orders import POTOrder, SchreyerOrder, TOPOrder
@@ -201,7 +201,7 @@ def test_syzygy_generators_agree_with_schreyer_route():
     via_schreyer = syzygies(gb)
     basis_polys = [g.components[0] for g in gb.elements]
     gb_elems = [S1.element([p]) for p in basis_polys]
-    via_elimination = syzygy_generators(gb_elems)
+    via_elimination = kernel_generators(gb_elems)
     assert via_schreyer and via_elimination
     gb_a = groebner_basis(via_schreyer)
     gb_b = groebner_basis(via_elimination)
@@ -215,6 +215,31 @@ def test_empty_input_gives_empty_basis():
     assert len(gb) == 0
     x = MultiPoly.variable(2, 0)
     assert normal_form(S.element([x]), gb) == S.element([x])
+
+
+def _engine_job():
+    """A kernel (buchberger), then a resolution (buchberger + Schreyer)."""
+    x, y, z = (MultiPoly.variable(3, i) for i in range(3))
+    S1 = _ring(3)
+    pres = presentation_of_submodule(_ideal_elems(S1, [x * y, y * z, x * z]))
+    pres.minimal_resolution()
+
+
+def test_nested_scopes_each_count_every_engine_call_once():
+    alone = EngineStats()
+    with stats_scope(alone):
+        _engine_job()
+    assert alone.s_pairs and alone.basis_elements
+    outer, inner = EngineStats(), EngineStats()
+    with stats_scope(outer):
+        with stats_scope(inner):
+            _engine_job()
+        _engine_job()
+    twice = EngineStats()
+    twice.merge(alone)
+    twice.merge(alone)
+    assert inner.as_dict() == alone.as_dict()
+    assert outer.as_dict() == twice.as_dict()
 
 
 # ----- heap reducer against the linear-scan reducer -----

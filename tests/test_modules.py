@@ -10,6 +10,7 @@ from logchern import (GradedFreeModule, GradedModulePresentation,
                       ext1_against_ring, finite_length, free_resolution,
                       hilbert_function, hilbert_polynomial, krull_dim,
                       module_dual, presentation_of_submodule)
+from logchern import groebner
 from logchern.rings import binomial_poly
 
 
@@ -252,3 +253,20 @@ def test_resolution_dump_format():
     assert len(dump["maps"]) == 2
     assert all(isinstance(entry, str)
                for row in dump["maps"][0] for entry in row)
+
+
+
+def test_ext1_presentation_runs_buchberger_once(octic_modules, monkeypatch):
+    ext1 = ext1_against_ring(octic_modules[3].presentation)
+    calls = []
+    run = groebner.buchberger
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return run(*args, **kwargs)
+    monkeypatch.setattr(groebner, "buchberger", counted)
+    krull_dim(ext1)
+    hilbert_function(ext1, 3)
+    hilbert_polynomial(ext1)
+    ext1.minimal_resolution()
+    assert len(calls) == 1

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from logchern.errors import InputError
 from logchern.groebner import buchberger
-from logchern.orders import MonomialOrder, POTOrder, SchreyerOrder, TOPOrder
+from logchern.orders import POTOrder, SchreyerOrder, TOPOrder
 
 ARITY = 3
 RANK = 3
@@ -133,7 +133,7 @@ def test_schreyer_key_matches_definition(kind, leads, ts):
 
 
 def test_untwisted_top_is_plain_degree():
-    order = MonomialOrder("grevlex", "TOP").engine()
+    order = TOPOrder("grevlex")
     big, small = (1, (1, 1, 0)), (0, (0, 0, 1))
     assert min([small, big], key=order.key) == big
 
@@ -143,8 +143,6 @@ def test_unknown_kind_and_position_are_input_errors():
         TOPOrder("deglex")
     with pytest.raises(InputError):
         POTOrder("deglex")
-    with pytest.raises(InputError):
-        MonomialOrder("grevlex", "middle")
 
 
 def test_key_is_memoized_once_per_order():
