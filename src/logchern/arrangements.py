@@ -12,39 +12,41 @@ dropped).
 import json
 import os
 from fractions import Fraction
+from math import gcd
 
 from .errors import InputError
 from .rings import render_univariate, vec_primitive, rational_vec_primitive
 
 
 def rref(rows):
-    """Reduced row echelon form over Q; returns a tuple of pivot rows.
+    """Canonical integer echelon form of the row span of integer rows.
 
-    Zero rows are dropped, pivots are 1, pivot columns are cleared, rows
-    are ordered by pivot column, so the output is a canonical form of the
-    row span.
+    Returns a tuple of rows: each is the primitive integer multiple, with a
+    positive pivot, of the matching row of the reduced row echelon form
+    over Q.  Zero rows are dropped, pivot columns are cleared and rows are
+    ordered by pivot column, so equal spans give equal tuples.  Elimination
+    is fraction-free (integer cross-multiplication), with the content of
+    each changed row divided out after every step.
     """
-    mat = [list(map(Fraction, r)) for r in rows]
+    mat = [list(r) for r in rows]
     ncols = len(mat[0]) if mat else 0
-    out = []
-    pivot_cols = []
     row_idx = 0
     for col in range(ncols):
-        pivot = None
-        for r in range(row_idx, len(mat)):
-            if mat[r][col] != 0:
-                pivot = r
-                break
+        pivot = next((r for r in range(row_idx, len(mat)) if mat[r][col]),
+                     None)
         if pivot is None:
             continue
         mat[row_idx], mat[pivot] = mat[pivot], mat[row_idx]
-        pv = mat[row_idx][col]
-        mat[row_idx] = [v / pv for v in mat[row_idx]]
+        # entries left of col are zero, so the pivot becomes positive
+        prow = mat[row_idx] = list(vec_primitive(mat[row_idx]))
+        pv = prow[col]
         for r in range(len(mat)):
-            if r != row_idx and mat[r][col] != 0:
-                factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[row_idx])]
-        pivot_cols.append(col)
+            c = mat[r][col]
+            if r != row_idx and c:
+                # pv > 0 keeps the sign of the pivots of the rows above
+                row = [pv * a - c * b for a, b in zip(mat[r], prow)]
+                g = gcd(*row)
+                mat[r] = [a // g for a in row] if g > 1 else row
         row_idx += 1
         if row_idx == len(mat):
             break
@@ -52,18 +54,22 @@ def rref(rows):
 
 
 def in_row_span(vec, rref_rows):
-    """Membership of a rational vector in the span of canonical rref rows."""
-    v = list(map(Fraction, vec))
+    """Membership of a vector in the span of canonical echelon rows (as
+    returned by ``rref``), by integer cross-multiplication."""
+    v = list(vec)
     for row in rref_rows:
-        pc = next(i for i, x in enumerate(row) if x != 0)
-        if v[pc] != 0:
-            c = v[pc]
-            v = [a - c * b for a, b in zip(v, row)]
-    return all(x == 0 for x in v)
+        pc = next(i for i, x in enumerate(row) if x)
+        c = v[pc]
+        if c:
+            p = row[pc]
+            v = [p * a - c * b for a, b in zip(v, row)]
+    return not any(v)
 
 
 def nullspace(rref_rows, ncols):
-    """Basis of the solution space of the homogeneous system, from rref."""
+    """Basis of the solution space of the homogeneous system, from the
+    canonical echelon rows: one vector per free column, 1 there and 0 in
+    the other free columns."""
     pivots = []
     for row in rref_rows:
         pivots.append(next(i for i, x in enumerate(row) if x != 0))
@@ -73,7 +79,7 @@ def nullspace(rref_rows, ncols):
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
         for row, pc in zip(rref_rows, pivots):
-            v[pc] = -row[fc]
+            v[pc] = Fraction(-row[fc], row[pc])
         basis.append(tuple(v))
     return basis
 
@@ -246,8 +252,8 @@ class Flat:
     """A flat of the intersection lattice.
 
     Identified by its closed hyperplane index set; carries the canonical
-    reduced row echelon form of its defining equations (augmented with the
-    constants column in the affine case).
+    integer echelon form (``rref``) of its defining equations, augmented
+    with the integer constants column in the affine case.
     """
 
     __slots__ = ("indices", "equations", "codim", "ambient_dim", "affine")
@@ -343,11 +349,15 @@ def build_lattice(arr):
     """All flats by breadth-first intersection.  Affine mode drops empty
     intersections.
 
-    A flat is keyed by the canonical reduced echelon form of its equations
+    A flat is keyed by the canonical integer echelon form of its equations
     (augmented with the constants column in the affine case, which is
-    canonical for consistent systems).  Each new level looks the key up
-    before taking the closure, so every flat's closure is computed once.
-    Codimension equals rank, so two levels never share a flat.
+    canonical for consistent systems); the lattice layer does no rational
+    arithmetic.  Each flat X takes one echelon per cover Y: once
+    X meet H_h gives Y, every h' in Y but not in X gives Y again (same
+    codimension, Y contained in X meet H_h'), so those h' are skipped.  The
+    key is looked up before taking the closure, so every flat's closure is
+    computed once.  Codimension equals rank, so two levels never share a
+    flat.
     """
     dim = arr.dim
     affine = not arr.is_central
@@ -374,15 +384,19 @@ def build_lattice(arr):
     while True:
         nxt = {}
         for flat in current:
+            # flat.indices is closed, so every other h raises the rank by 1
+            covered = set(flat.indices)
             for h in range(arr.n):
-                if h in flat.indices:
+                if h in covered:
                     continue
                 eqs = rref(flat.equations + (eqrows[h],))
-                if (eqs in nxt or len(eqs) != flat.codim + 1
-                        or not consistent(eqs)):
+                if not consistent(eqs):
                     continue
-                nxt[eqs] = Flat(closure(eqs), eqs, flat.codim + 1, dim,
-                                affine)
+                cover = nxt.get(eqs)
+                if cover is None:
+                    cover = nxt[eqs] = Flat(closure(eqs), eqs,
+                                            flat.codim + 1, dim, affine)
+                covered |= cover.indices
         if not nxt:
             break
         current = list(nxt.values())
@@ -559,10 +573,12 @@ def essentialize(arr):
     pivots = [next(i for i, x in enumerate(row) if x != 0) for row in basis]
     normals = []
     for alpha in arr.normals:
-        coords = [Fraction(alpha[pc]) for pc in pivots]
-        check = [sum(c * row[j] for c, row in zip(coords, basis))
+        # coordinates in the reduced echelon basis (rows divided by pivots)
+        coords = [alpha[pc] for pc in pivots]
+        check = [sum(Fraction(c, row[pc]) * row[j]
+                     for c, row, pc in zip(coords, basis, pivots))
                  for j in range(arr.dim)]
         if any(check[j] != alpha[j] for j in range(arr.dim)):
             raise InputError("normal escaped its own span (internal error)")
-        normals.append(list(rational_vec_primitive(coords)))
+        normals.append(list(vec_primitive(coords)))
     return Arrangement(r, normals, labels=arr.labels)

@@ -415,10 +415,20 @@ def chart_arrangement(arr, flat, chart=None):
 
 
 def per_flat_n_values(arr, lattice=None, chart=None, degree_cap=DEGREE_CAP):
-    """N(A_X) per codimension-(l-1) flat, per the localization formula."""
+    """N(A_X) per codimension-(l-1) flat, per the localization formula.
+
+    Flats whose charts are the same affine arrangement (same normals and
+    constants, in order) share one ``affine_n_value`` computation.
+    """
     if not arr.is_central:
         raise InputError("per-flat N values need a central arrangement")
     lat = lattice or build_lattice(arr)
-    return {flat: affine_n_value(chart_arrangement(arr, flat, chart=chart),
-                                 degree_cap=degree_cap)
-            for flat in lat.flats_of_codim(arr.dim - 1)}
+    by_chart = {}
+    values = {}
+    for flat in lat.flats_of_codim(arr.dim - 1):
+        aff = chart_arrangement(arr, flat, chart=chart)
+        key = (aff.normals, aff.constants)
+        if key not in by_chart:
+            by_chart[key] = affine_n_value(aff, degree_cap=degree_cap)
+        values[flat] = by_chart[key]
+    return values

@@ -537,9 +537,7 @@ def vec_primitive(vec):
 
     Returns the zero vector unchanged.
     """
-    g = 0
-    for v in vec:
-        g = gcd(g, v)
+    g = gcd(*vec)
     if g == 0:
         return tuple(vec)
     out = tuple(v // g for v in vec)

@@ -2,14 +2,18 @@
 
 import random
 from itertools import combinations
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logchern import (Arrangement, InputError, build_lattice, decone,
                       essentialize, localize, mobius, parse_arrangement,
                       poincare_affine, poincare_projective)
 from logchern import arrangements
-from logchern.arrangements import in_row_span, rref
+from logchern.arrangements import Flat, in_row_span, rref
+from tests import lattice_reference as ref
 from tests.conftest import OCTIC_NORMALS, boolean, braid
 
 
@@ -25,13 +29,13 @@ def brute_force_flats(arr):
     flats = set()
     for r in range(arr.n + 1):
         for subset in combinations(range(arr.n), r):
-            eqs = rref([rows[i] for i in subset])
+            eqs = ref.rref([rows[i] for i in subset])
             if not arr.is_central:
                 if any(all(x == 0 for x in row[:-1]) and row[-1] != 0
                        for row in eqs):
                     continue  # empty intersection
             closed = frozenset(i for i in range(arr.n)
-                               if in_row_span(rows[i], eqs))
+                               if ref.in_row_span(rows[i], eqs))
             flats.add((len(eqs), closed))
     return flats
 
@@ -63,7 +67,7 @@ def random_generic(rng, l, n):
     normals = []
     while len(normals) < n:
         v = tuple(rng.randint(-3, 3) for _ in range(l))
-        if all(len(rref(list(sub) + [v])) == min(l, len(sub) + 1)
+        if all(len(ref.rref(list(sub) + [v])) == min(l, len(sub) + 1)
                for k in range(min(l - 1, len(normals)) + 1)
                for sub in combinations(normals, k)):
             normals.append(v)
@@ -278,6 +282,88 @@ def test_build_lattice_takes_one_closure_per_flat(arr, monkeypatch):
     assert len(calls) == arr.n * len(list(lat.all_flats()))
 
 
+@pytest.mark.parametrize("l, covers", [(5, 160), (6, 856)],
+                         ids=["braid_a4", "braid_a5"])
+def test_build_lattice_takes_one_echelon_per_cover(l, covers, monkeypatch):
+    arr = Arrangement(l, braid(l))
+    calls = []
+
+    def counted(rows):
+        calls.append(1)
+        return rref(rows)
+    monkeypatch.setattr(arrangements, "rref", counted)
+    lat = build_lattice(arr)
+    pairs = sum(1 for c in range(1, len(lat.levels))
+                for y in lat.levels[c] for x in lat.levels[c - 1]
+                if x.indices <= y.indices)
+    assert pairs == covers
+    assert len(calls) == covers
+
+
+def test_braid_a6_lattice_poincare_and_decone():
+    arr = Arrangement(7, braid(7))
+    lat = build_lattice(arr)
+    assert [len(lv) for lv in lat.levels] == [1, 21, 140, 350, 301, 63, 1]
+    expected = [1]
+    for k in range(1, 7):  # prod_{k=1..6} (1 + k t)
+        expected = [a + k * b for a, b in zip(expected + [0], [0] + expected)]
+    pi = poincare_affine(arr, lat)
+    assert pi.coeffs == tuple(expected) == (1, 21, 175, 735, 1624, 1764, 720)
+    assert poincare_affine(decone(arr, 0)) == pi.divide_by_one_plus_t()
+
+
+# ----- integer echelon rows against the Fraction reference -----
+
+def _primitive_rows(rows):
+    """Rational rows scaled to primitive integer rows; a positive pivot
+    stays positive."""
+    out = []
+    for row in rows:
+        den = 1
+        for x in row:
+            den = den * x.denominator // gcd(den, x.denominator)
+        ints = [int(x * den) for x in row]
+        g = gcd(*ints)
+        out.append(tuple(x // g for x in ints))
+    return tuple(out)
+
+
+@st.composite
+def _systems(draw):
+    """(affine, ncols, rows, vec, coeffs): up to 6 integer rows over ncols
+    normal columns, plus a constants column when affine; at most 7 columns
+    in all.  Zeros are drawn often so that rank drops."""
+    affine = draw(st.booleans())
+    ncols = draw(st.integers(1, 6 if affine else 7))
+    width = ncols + affine
+    entry = st.one_of(st.just(0), st.integers(-9, 9))
+    vector = st.lists(entry, min_size=width, max_size=width)
+    rows = draw(st.lists(vector, max_size=6))
+    vec = draw(vector)
+    coeffs = draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
+    return affine, ncols, rows, vec, coeffs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(system=_systems())
+def test_integer_echelon_matches_fraction_reference(system):
+    affine, ncols, rows, vec, coeffs = system
+    width = ncols + affine
+    eqs = rref(rows)
+    ref_eqs = ref.rref(rows)
+    assert eqs == _primitive_rows(ref_eqs)
+    assert all(isinstance(x, int) for row in eqs for x in row)
+    combo = [sum(c * row[j] for c, row in zip(coeffs, rows))
+             for j in range(width)]
+    assert in_row_span(combo, eqs)
+    for v in (vec, combo):
+        assert in_row_span(v, eqs) == ref.in_row_span(v, ref_eqs)
+    flat = Flat((), eqs, len(eqs), ncols, affine)
+    normal_part = [row[:ncols] for row in rows]
+    assert flat.subspace_basis() == ref.nullspace(ref.rref(normal_part),
+                                                  ncols)
+
+
 # ----- localization and essentialization -----
 
 def test_localize_at_bottom_is_empty():
@@ -312,6 +398,15 @@ def test_essentialize_two_planes_in_c3():
     ess = essentialize(arr)
     assert ess.dim == 2
     assert ess.normals == ((1, 0), (0, 1))
+
+
+def test_essentialize_uses_reduced_echelon_coordinates():
+    # the echelon row (0, 2, 1) has pivot 2: coordinates are still taken in
+    # the basis of reduced rows (1, 0, 1), (0, 1, 1/2)
+    arr = Arrangement(3, [(1, 0, 1), (0, 2, 1), (1, 2, 2)])
+    ess = essentialize(arr)
+    assert ess.normals == ((1, 0), (0, 1), (1, 2))
+    assert poincare_affine(ess) == poincare_affine(arr)
 
 
 def test_essentialize_braid_triple_preserves_poincare():

@@ -10,6 +10,7 @@ from logchern import (Arrangement, InputError,
                       hilbert_function, hilbert_polynomial, log_derivations,
                       log_forms, log_modules, module_dual, nonfree_locus,
                       per_flat_n_values, relative_log_forms)
+from logchern import log_geometry
 from logchern.log_geometry import chart_arrangement
 from logchern.modules import krull_dim
 from tests import wedge_reference as wedge
@@ -273,6 +274,21 @@ def test_chart_override_invariance(octic_arrangement, octic_lattice):
         aff = chart_arrangement(octic_arrangement, rich, chart=chart)
         values.add(affine_n_value(aff))
     assert values == {1}
+
+
+def test_per_flat_takes_one_affine_n_per_distinct_chart(
+        octic_arrangement, octic_lattice, monkeypatch):
+    charts = []
+
+    def counted(arr, **kwargs):
+        charts.append((arr.normals, arr.constants))
+        return affine_n_value(arr, **kwargs)
+    monkeypatch.setattr(log_geometry, "affine_n_value", counted)
+    values = per_flat_n_values(octic_arrangement, lattice=octic_lattice)
+    assert len(values) == 18
+    assert len(charts) == len(set(charts)) == 16
+    assert sum(values.values()) == 3
+    assert sorted(v for v in values.values() if v) == [1, 2]
 
 
 def test_per_flat_requires_central():
