@@ -12,7 +12,6 @@ from math import comb, factorial
 from .arrangements import build_lattice, poincare_projective
 from .errors import EngineError, HypothesisError, InputError
 from .log_geometry import freeness_test, log_modules, nonfree_locus
-from .modules import DEGREE_CAP
 from .rings import TruncatedPoly, render_univariate
 
 
@@ -287,8 +286,7 @@ def certify_hypotheses(arr, assume_locally_tame):
         "pass assume_locally_tame to proceed")
 
 
-def verify_main_theorem(arr, assume_locally_tame=False, per_flat_check=False,
-                        lattice=None, degree_cap=None):
+def verify_main_theorem(arr, assume_locally_tame=False, per_flat_check=False):
     """Compute both sides of the defect identity independently.
 
     lhs: total Chern class of the dual logarithmic sheaf from the minimal
@@ -309,7 +307,7 @@ def verify_main_theorem(arr, assume_locally_tame=False, per_flat_check=False,
     hypotheses = certify_hypotheses(arr, assume_locally_tame)
 
     # combinatorial side
-    lat = lattice or build_lattice(arr)
+    lat = build_lattice(arr)
     pi_proj = poincare_projective(arr, lat)
     rhs_csm = csm_complement(pi_proj, l)
     divisor_csm = csm_of_divisor(pi_proj, l)
@@ -341,10 +339,8 @@ def verify_main_theorem(arr, assume_locally_tame=False, per_flat_check=False,
     applicable = True
     n_value = None
     per_flat = None
-    cap = degree_cap if degree_cap is not None else DEGREE_CAP
     try:
-        nfl = nonfree_locus(om0, per_flat=per_flat_check, degree_cap=cap,
-                            lattice=lat)
+        nfl = nonfree_locus(om0, per_flat=per_flat_check, lattice=lat)
         n_value = nfl.n_projective
         per_flat = nfl.per_flat
         hypotheses["non_free_locus"] = (

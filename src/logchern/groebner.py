@@ -4,8 +4,10 @@ Internal representation: an element is a dict mapping module terms
 ``(pos, exps)`` to nonzero *integer* coefficients, kept content-free.
 All reductions are fraction-free (scale by the reducer's leading
 coefficient, strip integer content afterwards), so no rational arithmetic
-happens in the inner loops; conversion to monic rational form happens only
-at the public boundary in `modules`.
+happens in the inner loops.  The presentations of `modules` hold their
+relations in this representation too, so kernels, duals and Ext^1 pass
+dicts straight to `kernel_raw` and `buchberger`; rational `FreeModuleElement`
+vectors appear only at the public element API and in resolution maps.
 
 Reduction keeps the remainder's terms in a heap ordered by the order key
 (smaller key = larger term, see `orders`), so each step pops the leading

@@ -29,10 +29,11 @@ from itertools import combinations, product
 
 from .arrangements import Arrangement, build_lattice, localize
 from .errors import EngineError, HypothesisError, InputError
-from .modules import (DEGREE_CAP, FreeModuleElement, GradedFreeModule,
-                      GradedModulePresentation, ext1_against_ring,
-                      finite_length, hilbert_polynomial, kernel_generators,
-                      krull_dim, module_dual, presentation_of_submodule)
+from .groebner import kernel_raw
+from .modules import (DEGREE_CAP, GradedFreeModule, GradedModulePresentation,
+                      ext1_against_ring, finite_length, from_engine,
+                      hilbert_polynomial, krull_dim, module_dual,
+                      presentation_of_submodule, to_engine_scaled)
 from .rings import MultiPoly, poly_product
 
 
@@ -90,8 +91,9 @@ def defining_data(arr):
 class LogModule:
     """One of D, D_0, Omega^1, Omega^1_0 as a concrete presented module.
 
-    For the derivation modules ``generators`` are the coefficient vectors
-    of the generators in ``ambient`` = S^l.  The form modules come from
+    For the derivation modules ``generators`` are the integer coefficient
+    vectors of the generators in ``ambient`` = S^l, for the Saito
+    determinant and the annihilation check.  The form modules come from
     duality and carry only their presentation (``ambient`` None, no
     generators).
     """
@@ -132,12 +134,17 @@ class LogModule:
 
 def _free_summand_plus(twist, pres):
     """S(-twist) + M as a presentation, the free summand in front."""
-    arity = pres.arity
-    target = GradedFreeModule(arity, (twist,) + pres.target.twists)
-    zero = MultiPoly.zero(arity)
-    rels = [FreeModuleElement(target, (zero,) + r.components)
-            for r in pres.relations]
-    return GradedModulePresentation(target, rels)
+    target = GradedFreeModule(pres.arity, (twist,) + pres.target.twists)
+    return GradedModulePresentation(
+        target, [{(pos + 1, exps): c for (pos, exps), c in r.items()}
+                 for r in pres.relations])
+
+
+def _kernel_of_polys(polys, arity):
+    """Integer term dicts generating the kernel of e_j -> polys[j] in S."""
+    S1 = GradedFreeModule(arity, rank=1)
+    return kernel_raw(to_engine_scaled([S1.element([p]) for p in polys]), 1,
+                      arity)
 
 
 def derivation_module_d0(dd):
@@ -148,19 +155,16 @@ def derivation_module_d0(dd):
     if not dd.graded:
         raise InputError("D_0 is computed for central arrangements")
     arity = dd.arity
-    S1 = GradedFreeModule(arity, [0])
-    cols = [S1.element([p]) for p in dd.partials]
-    kernel = kernel_generators(cols, source_twists=[dd.degree - 1] * arity)
+    kernel = _kernel_of_polys(dd.partials, arity)
     ambient = GradedFreeModule(arity, [0] * arity)
-    gens = [ambient.element(list(k.components)) for k in kernel
-            if not k.is_zero()]
-    if not gens:
+    if not kernel:
         pres = GradedModulePresentation.zero(arity)
         return LogModule("D0", pres, dd, ambient)
+    gens = [from_engine(k, ambient) for k in kernel]
     for g in gens:
         if not g.dot(dd.partials).is_zero():
             raise EngineError("alleged syzygy does not annihilate f")
-    pres = presentation_of_submodule(gens)
+    pres = presentation_of_submodule(kernel, ambient)
     return LogModule("D0", pres, dd, ambient, gens)
 
 
@@ -379,12 +383,10 @@ def affine_n_value(arr, degree_cap=DEGREE_CAP):
         raise InputError("affine_n_value expects an affine arrangement")
     dd = defining_data(arr)
     arity = dd.arity
-    S1 = GradedFreeModule(arity, rank=1)
-    kernel = kernel_generators([S1.element([p])
-                                for p in dd.partials + (dd.f,)])
-    ambient = GradedFreeModule(arity, rank=arity)
-    d = presentation_of_submodule([ambient.element(k.components[:arity])
-                                   for k in kernel])
+    kernel = _kernel_of_polys(dd.partials + (dd.f,), arity)
+    d = presentation_of_submodule(
+        [{t: c for t, c in k.items() if t[0] < arity} for k in kernel],
+        GradedFreeModule(arity, rank=arity))
     ext1 = ext1_against_ring(module_dual(d))
     if krull_dim(ext1) > 0:
         raise HypothesisError("affine non-free locus is not zero-dimensional")
@@ -422,6 +424,9 @@ def per_flat_n_values(arr, lattice=None, chart=None, degree_cap=DEGREE_CAP):
     """
     if not arr.is_central:
         raise InputError("per-flat N values need a central arrangement")
+    if arr.dim < 2:
+        raise InputError("per-flat N values need l >= 2: the flats of "
+                         "codimension l - 1 are points of P^(l-1)")
     lat = lattice or build_lattice(arr)
     by_chart = {}
     values = {}

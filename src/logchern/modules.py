@@ -2,15 +2,24 @@
 resolutions, Hilbert functions and polynomials, Krull dimension, duals and
 Ext^1 against the ring.
 
-A module is presented as the cokernel of a map between graded free modules;
-submodules enter through their generator lists.  The same machinery runs in
-an ungraded mode (twists absent) for computations in affine charts, where
-minimality of resolutions is not defined and is skipped.
+A module is presented as the cokernel of a map between graded free modules.
+A presentation holds its relations as the engine's integer term dicts
+``{(pos, exps): int}``, and submodule presentations, duals and Ext^1
+compute kernels on those dicts.  A map with rational entries enters
+the engine once, with one common denominator cleared for all its columns,
+which leaves its kernel unchanged.  `FreeModuleElement` vectors over Q
+remain the element type of the public `groebner_basis`, `normal_form`,
+`syzygies` and `kernel_generators` and of the maps of a `ResolutionData`;
+`to_engine` and `from_engine` convert at that boundary.
+
+The same machinery runs in an ungraded mode (twists absent) for
+computations in affine charts, where minimality of resolutions is not
+defined and is skipped.
 """
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd
+from math import comb, lcm
 
 from . import groebner as eng
 from .errors import (EngineError, InputError, NotFiniteLengthError,
@@ -92,18 +101,6 @@ class FreeModuleElement:
     def is_zero(self):
         return all(p.is_zero() for p in self.components)
 
-    def is_homogeneous(self):
-        if not self.module.graded:
-            return False
-        degs = set()
-        for p, a in zip(self.components, self.module.twists):
-            if p.is_zero():
-                continue
-            if not p.is_homogeneous():
-                return False
-            degs.add(p.homogeneous_degree() + a)
-        return len(degs) <= 1
-
     def degree(self):
         """Twisted degree of a homogeneous nonzero element."""
         if not self.module.graded:
@@ -157,34 +154,21 @@ class FreeModuleElement:
 
 def to_engine(elem):
     """FreeModuleElement -> content-free integer term dict."""
-    return to_engine_scaled(elem)[0]
+    return eng.content_normalize(to_engine_scaled([elem])[0])
 
 
-def to_engine_scaled(elem):
-    """FreeModuleElement -> (dict, factor) with  dict == factor * elem.
+def to_engine_scaled(columns):
+    """Columns of a map -> integer term dicts: every column times one
+    common denominator of all their entries.
 
-    The factor matters wherever the element is a *column of a map* rather
-    than a generator up to scale: kernels of the scaled map must be
-    corrected by it.
+    Scaling every column by the same factor leaves the kernel of the map
+    unchanged, so kernels of the dicts are kernels of the map.
     """
-    den = 1
-    for p in elem.components:
-        for c in p.terms.values():
-            if isinstance(c, Fraction):
-                den = den * c.denominator // gcd(den, c.denominator)
-    d = {}
-    for pos, p in enumerate(elem.components):
-        for exps, c in p.terms.items():
-            d[(pos, exps)] = int(c * den)
-    content = 0
-    for c in d.values():
-        content = gcd(content, c)
-        if content == 1:
-            break
-    if content > 1:
-        for k in d:
-            d[k] //= content
-    return d, Fraction(den, content if content else 1)
+    den = lcm(*(c.denominator for col in columns for p in col.components
+                for c in p.terms.values()))
+    return [{(pos, exps): int(c * den)
+             for pos, p in enumerate(col.components)
+             for exps, c in p.terms.items()} for col in columns]
 
 
 def from_engine(d, module, divisor=1):
@@ -230,12 +214,12 @@ def groebner_basis(gens, module=None):
     if not gens:
         if module is None:
             raise InputError("empty generator list needs an explicit module")
-        return GroebnerBasis(module, [], TOPOrder("grevlex", module.twists))
+        return GroebnerBasis(module, [], TOPOrder(module.twists))
     module = gens[0].module
     for g in gens:
         if g.module != module:
             raise InputError("generators live in different free modules")
-    order = TOPOrder("grevlex", module.twists)
+    order = TOPOrder(module.twists)
     engine_gb = eng.buchberger(
         [to_engine(g) for g in gens if not g.is_zero()], order)
     return GroebnerBasis(module, engine_gb, order)
@@ -271,7 +255,7 @@ def kernel_generators(columns, source_twists=None):
 
     ``source_twists`` fixes the grading of the source; when omitted it is
     read off the column degrees (columns must then be nonzero in graded
-    mode).  Returns elements of the source module.
+    mode).  Returns content-free integer elements of the source module.
     """
     if not columns:
         return []
@@ -285,27 +269,35 @@ def kernel_generators(columns, source_twists=None):
         source = GradedFreeModule(target.arity, source_twists)
     else:
         source = GradedFreeModule(target.arity, rank=len(columns))
-    scaled = [to_engine_scaled(c) for c in columns]
-    raw = eng.kernel_raw([d for d, _ in scaled], target.rank, target.arity)
-    factors = [f for _, f in scaled]
-    order = TOPOrder("grevlex", source.twists)
-    out = []
-    for d in raw:
-        b = eng.BasisElem(d, order)
-        elem = from_engine(b.d, source, divisor=b.lc)
-        # the raw vector annihilates the scaled columns; correct back
-        if any(f != 1 for f in factors):
-            elem = FreeModuleElement(
-                source, [p * f for p, f in zip(elem.components, factors)])
-        out.append(elem)
+    raw = eng.kernel_raw(to_engine_scaled(columns), target.rank, target.arity)
+    return [from_engine(d, source) for d in raw]
+
+
+def _degree(d, twists):
+    """Twisted degree of a nonzero homogeneous term dict."""
+    degs = {sum(exps) + twists[pos] for pos, exps in d}
+    if len(degs) != 1:
+        raise InputError("element is zero or inhomogeneous")
+    return degs.pop()
+
+
+def _transpose(columns, rank):
+    """Term dicts of the transposed map: column i collects entry i of each
+    of ``columns`` (dicts over positions 0..rank-1)."""
+    out = [{} for _ in range(rank)]
+    for j, col in enumerate(columns):
+        for (i, exps), c in col.items():
+            out[i][(j, exps)] = c
     return out
 
 
 class GradedModulePresentation:
     """M = coker(relations: F_1 -> F_0) with F_0 = ``target``.
 
-    ``shift`` twists the module at construction: M(shift) has its target
-    twists lowered by ``shift``.
+    ``relations`` are integer term dicts ``{(pos, exps): int}`` over the
+    positions of ``target``; empty dicts are dropped.  ``shift`` twists the
+    module at construction: M(shift) has its target twists lowered by
+    ``shift``.
     """
 
     __slots__ = ("target", "relations", "_gb", "_minres")
@@ -317,13 +309,13 @@ class GradedModulePresentation:
         self.target = target
         rels = []
         for r in relations:
-            if r.module.rank != target.rank or r.module.arity != target.arity:
-                raise InputError("relation does not match the target module")
-            r = FreeModuleElement(target, r.components)
-            if r.is_zero():
+            if not r:
                 continue
-            if target.graded and not r.is_homogeneous():
-                raise InputError("relations must be homogeneous")
+            if any(pos >= target.rank or len(exps) != target.arity
+                   for pos, exps in r):
+                raise InputError("relation does not match the target module")
+            if target.graded:
+                _degree(r, target.twists)
             rels.append(r)
         self.relations = tuple(rels)
         self._gb = None
@@ -353,15 +345,14 @@ class GradedModulePresentation:
 
     def relation_gb(self):
         """``(basis, order)``: the reduced engine Groebner basis of the
-        relations in ``TOPOrder("grevlex", twists)``, computed once; every
-        Hilbert, dimension and resolution query starts from it.  The basis
-        is empty when the module is free."""
+        relations in ``TOPOrder(twists)``, computed once; every Hilbert,
+        dimension and resolution query starts from it.  The basis is empty
+        when the module is free."""
         if self._gb is None:
-            order = TOPOrder("grevlex", self.target.twists)
+            order = TOPOrder(self.target.twists)
             basis = []
             if self.relations:
-                basis = eng.buchberger(
-                    [to_engine(r) for r in self.relations], order)
+                basis = eng.buchberger(self.relations, order)
             self._gb = (basis, order)
         return self._gb
 
@@ -385,9 +376,9 @@ class GradedModulePresentation:
         leads = self.lead_exponents()
         return all(zero in leads[j] for j in range(self.target.rank))
 
-    def minimal_resolution(self, max_len=None):
+    def minimal_resolution(self):
         if self._minres is None:
-            self._minres = free_resolution(self, max_len=max_len)
+            self._minres = free_resolution(self)
         return self._minres
 
     def __repr__(self):
@@ -709,54 +700,37 @@ def finite_length(pres, degree_cap=DEGREE_CAP):
 
 # ----- duals and Ext -----
 
-def _transpose_columns(cols, source, target_dual):
-    """Columns of the transposed map (one per generator of ``source``)."""
-    out = []
-    for i in range(source.rank):
-        comps = [col.components[i] for col in cols]
-        out.append(FreeModuleElement(target_dual, comps))
-    return out
-
-
-def presentation_of_submodule(gens):
-    """Presentation of the submodule generated by ``gens`` of a free module."""
-    gens = [g for g in gens if not g.is_zero()]
+def presentation_of_submodule(gens, ambient):
+    """Presentation of the submodule of the free module ``ambient``
+    generated by the integer term dicts ``gens``: one generator per
+    nonzero dict, related by the kernel of the map they span."""
+    gens = [g for g in gens if g]
     if not gens:
         raise InputError("cannot present a submodule from zero generators")
-    ambient = gens[0].module
-    if ambient.graded:
-        target = GradedFreeModule(ambient.arity, [g.degree() for g in gens])
-    else:
-        target = GradedFreeModule(ambient.arity, rank=len(gens))
-    rels = kernel_generators(gens)
-    rels = [FreeModuleElement(target, r.components) for r in rels]
-    return GradedModulePresentation(target, rels)
+    twists = ([_degree(g, ambient.twists) for g in gens] if ambient.graded
+              else None)
+    return GradedModulePresentation(
+        GradedFreeModule(ambient.arity, twists, len(gens)),
+        eng.kernel_raw(gens, ambient.rank, ambient.arity))
 
 
 def module_dual(pres):
     """Hom_S(M, S): kernel of the transposed presentation map, presented
     through its own syzygies."""
     F0 = pres.target
-    F0_dual = F0.dual()
     if not pres.relations:
-        return GradedModulePresentation(F0_dual, [])
-    rels = list(pres.relations)
-    if F0.graded:
-        F1 = GradedFreeModule(F0.arity, [r.degree() for r in rels])
-    else:
-        F1 = GradedFreeModule(F0.arity, rank=len(rels))
-    F1_dual = F1.dual()
-    cols_T = _transpose_columns(rels, F0, F1_dual)
-    kernel = kernel_generators(cols_T, source_twists=F0_dual.twists)
-    kernel = [k for k in kernel if not k.is_zero()]
+        return GradedModulePresentation(F0.dual(), [])
+    kernel = eng.kernel_raw(_transpose(pres.relations, F0.rank),
+                            len(pres.relations), F0.arity)
     if not kernel:
         return GradedModulePresentation.zero(pres.arity, graded=F0.graded)
-    gens = [FreeModuleElement(F0_dual, k.components) for k in kernel]
-    return presentation_of_submodule(gens)
+    return presentation_of_submodule(kernel, F0.dual())
 
 
 def ext1_against_ring(pres):
-    """Ext^1_S(M, S) as homology of the dualized resolution at step 1."""
+    """Ext^1_S(M, S) as homology of the dualized resolution at step 1:
+    ker(phi_2^T) modulo im(phi_1^T), presented on generators of the
+    kernel."""
     graded = pres.graded
     if graded:
         res = pres.minimal_resolution()
@@ -764,29 +738,18 @@ def ext1_against_ring(pres):
         res = free_resolution(pres, minimal=False)
     if res.length == 0:
         return GradedModulePresentation.zero(pres.arity, graded=graded)
-    F0, F1 = res.terms[0], res.terms[1]
-    F0d, F1d = F0.dual(), F1.dual()
-    phi1_T = _transpose_columns(res.maps[0], F0, F1d)
+    F1d = res.terms[1].dual()
+    phi1_T = _transpose(to_engine_scaled(res.maps[0]), res.terms[0].rank)
     if res.length == 1:
         return GradedModulePresentation(F1d, phi1_T)
-    F2 = res.terms[2]
-    F2d = F2.dual()
-    phi2_T = _transpose_columns(res.maps[1], F1, F2d)
-    kernel = kernel_generators(phi2_T, source_twists=F1d.twists)
-    kernel = [k for k in kernel if not k.is_zero()]
+    phi2_T = _transpose(to_engine_scaled(res.maps[1]), res.terms[1].rank)
+    kernel = eng.kernel_raw(phi2_T, res.terms[2].rank, pres.arity)
     if not kernel:
         return GradedModulePresentation.zero(pres.arity, graded=graded)
-    k_elems = [FreeModuleElement(F1d, k.components) for k in kernel]
-    m = len(k_elems)
-    combined = k_elems + phi1_T
-    if graded:
-        src_twists = [k.degree() for k in k_elems] + list(F0d.twists)
-    else:
-        src_twists = None
-    syz = kernel_generators(combined, source_twists=src_twists)
-    if graded:
-        target = GradedFreeModule(pres.arity, [k.degree() for k in k_elems])
-    else:
-        target = GradedFreeModule(pres.arity, rank=m)
-    rels = [FreeModuleElement(target, s.components[:m]) for s in syz]
-    return GradedModulePresentation(target, rels)
+    m = len(kernel)
+    twists = [_degree(k, F1d.twists) for k in kernel] if graded else None
+    # relations: the kernel coordinates of the syzygies of [kernel | phi1_T]
+    syz = eng.kernel_raw(kernel + phi1_T, F1d.rank, pres.arity)
+    return GradedModulePresentation(
+        GradedFreeModule(pres.arity, twists, m),
+        [{t: c for t, c in s.items() if t[0] < m} for s in syz])

@@ -10,21 +10,15 @@ reduction are cheap.
 
 Layouts:
 
-* TOP ("term over position"): compare by twisted total degree, then grevlex
-  (or lex) on the monomial, then prefer the smaller position.  Degree
-  compatible, the default for Groebner runs on graded modules.
-* POT ("position over term"): smaller position dominates outright; used as
-  an elimination order for kernel/graph computations.
+* TOP ("term over position"): compare by twisted total degree, then
+  grevlex on the monomial, then prefer the smaller position.  Degree
+  compatible, the order of every Groebner run on a presentation.
+* POT ("position over term"): smaller position dominates outright, then
+  grevlex on the monomial; the elimination order of kernel computations.
 * Schreyer: the order induced on a syzygy module by the leading terms of a
   Groebner basis; compares images in the parent module, ties broken by
   preferring the smaller index.
 """
-
-from .errors import InputError
-
-
-def _neg(exps):
-    return tuple(-e for e in exps)
 
 
 class ModuleOrder:
@@ -49,43 +43,30 @@ class ModuleOrder:
 
 class TOPOrder(ModuleOrder):
     """Degree-first order: higher twisted degree, then the grevlex
-    (reverse-lex) or lex tie-break on the monomial, then the smaller
-    position wins."""
+    (reverse-lex) tie-break on the monomial, then the smaller position
+    wins."""
 
-    __slots__ = ("kind", "twists")
+    __slots__ = ("twists",)
 
-    def __init__(self, kind="grevlex", twists=None):
+    def __init__(self, twists=None):
         super().__init__()
-        if kind not in ("grevlex", "lex"):
-            raise InputError(f"unknown monomial order kind {kind!r}")
-        self.kind = kind
         self.twists = tuple(twists) if twists is not None else None
 
     def _key(self, term):
         pos, exps = term
         tw = self.twists[pos] if self.twists is not None else 0
-        if self.kind == "grevlex":
-            return (-sum(exps) - tw, exps[::-1], pos)
-        return (-sum(exps) - tw, _neg(exps), pos)
+        return (-sum(exps) - tw, exps[::-1], pos)
 
 
 class POTOrder(ModuleOrder):
     """Elimination order: the smaller position dominates, then grevlex
-    (degree first) or plain lex on the monomial."""
+    (degree first) on the monomial."""
 
-    __slots__ = ("kind",)
-
-    def __init__(self, kind="grevlex"):
-        super().__init__()
-        if kind not in ("grevlex", "lex"):
-            raise InputError(f"unknown monomial order kind {kind!r}")
-        self.kind = kind
+    __slots__ = ()
 
     def _key(self, term):
         pos, exps = term
-        if self.kind == "grevlex":
-            return (pos, -sum(exps), exps[::-1])
-        return (pos, _neg(exps))
+        return (pos, -sum(exps), exps[::-1])
 
 
 class SchreyerOrder(ModuleOrder):

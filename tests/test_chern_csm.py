@@ -10,7 +10,7 @@ from logchern import (Arrangement, ChernPoly, GradedFreeModule,
                       free_resolution, poincare_projective, twist_chern,
                       verify_denham_schulze, verify_main_theorem,
                       verify_mustata_schenck)
-from logchern.modules import ResolutionData
+from logchern.modules import ResolutionData, to_engine
 from tests.conftest import BRAID_TRIPLE, GENERIC4, GENERIC5, boolean, braid
 
 
@@ -29,14 +29,16 @@ def test_chern_of_koszul_point_matches_point_formula():
     for d in (1, 2, 3):
         arity = d + 1
         S = GradedFreeModule(arity, [0])
-        rels = [S.element([MultiPoly.variable(arity, i)]) for i in range(d)]
+        rels = [to_engine(S.element([MultiPoly.variable(arity, i)]))
+                for i in range(d)]
         res = GradedModulePresentation(S, rels).minimal_resolution()
         assert chern_from_resolution(res, 0, d + 1) == chern_point(d)
     # by contrast, the irrelevant point S/(x, y) over two variables
     # sheafifies to zero on P^1 and its class is trivial
     x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
     S = GradedFreeModule(2, [0])
-    pres = GradedModulePresentation(S, [S.element([x]), S.element([y])])
+    pres = GradedModulePresentation(
+        S, [to_engine(S.element([x])), to_engine(S.element([y]))])
     ct = chern_from_resolution(pres.minimal_resolution(), 0, 2)
     assert ct.coeffs == (1, 0)
 
@@ -271,3 +273,30 @@ def test_verify_reuses_its_lattice_for_the_per_flat_route(
     rep = verify_main_theorem(octic_arrangement, per_flat_check=True)
     assert sum(rep.per_flat.values()) == 3
     assert built == [octic_arrangement]
+
+
+def test_verify_computes_module_kernels_on_term_dicts(octic_arrangement,
+                                                       monkeypatch):
+    # kernels, duals and Ext^1 run on the engine's integer term dicts: no
+    # FreeModuleElement kernel is taken, and every presentation of the
+    # logarithmic modules holds its relations as dicts
+    from logchern import chern_csm, log_geometry, log_modules, modules
+    calls = []
+    original = modules.kernel_generators
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (modules, log_geometry, chern_csm):
+        if getattr(module, "kernel_generators", None) is original:
+            monkeypatch.setattr(module, "kernel_generators", counted)
+    assert verify_main_theorem(octic_arrangement).n_value == 3
+    assert calls == []
+    for lm in log_modules(octic_arrangement)[1:]:
+        assert lm.presentation.relations, lm.kind
+        for r in lm.presentation.relations:
+            assert type(r) is dict, lm.kind
+            assert all(type(c) is int for c in r.values()), lm.kind
+        res = lm.minimal_resolution()
+        assert res.compose_is_zero() and not res.has_unit_entry(), lm.kind

@@ -124,6 +124,16 @@ def test_top_level_json_list_exits_one(tmp_path, capsys):
     assert report["error"]["type"] == "input"
 
 
+def test_nval_on_a_line_asks_for_l_at_least_two(tmp_path, capsys):
+    # per-flat N counts points of P^(l-1); l = 1 used to fail while
+    # building a 0-dimensional chart
+    path = _write(tmp_path, "point.json", {"l": 1, "hyperplanes": [[1]]})
+    assert main(["nval", path, "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"]["type"] == "input"
+    assert "l >= 2" in report["error"]["message"]
+
+
 def test_degree_cap_exceeded_is_a_budget_report(capsys):
     report, code = run(_job("nval", "example:nonfree_octic", degree_cap=1))
     assert code == 3

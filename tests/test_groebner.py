@@ -13,6 +13,7 @@ from logchern import (EngineStats, GradedFreeModule, MultiPoly,
                       presentation_of_submodule, stats_scope, syzygies)
 from logchern.groebner import (BasisElem, content_normalize, exps_divide,
                                reduce_full, shift_term)
+from logchern.modules import to_engine
 from logchern.orders import POTOrder, SchreyerOrder, TOPOrder
 
 
@@ -221,7 +222,8 @@ def _engine_job():
     """A kernel (buchberger), then a resolution (buchberger + Schreyer)."""
     x, y, z = (MultiPoly.variable(3, i) for i in range(3))
     S1 = _ring(3)
-    pres = presentation_of_submodule(_ideal_elems(S1, [x * y, y * z, x * z]))
+    pres = presentation_of_submodule(
+        [to_engine(g) for g in _ideal_elems(S1, [x * y, y * z, x * z])], S1)
     pres.minimal_resolution()
 
 
@@ -319,19 +321,18 @@ _vector = st.dictionaries(st.tuples(st.integers(0, _RANK - 1), _exps),
 
 @st.composite
 def _orders(draw):
-    kind = draw(st.sampled_from(["grevlex", "lex"]))
     layout = draw(st.sampled_from(["TOP", "POT", "Schreyer"]))
     if layout == "POT":
-        return POTOrder(kind)
+        return POTOrder()
     twists = draw(st.lists(st.integers(-2, 2), min_size=_RANK,
                            max_size=_RANK))
-    top = TOPOrder(kind, twists)
+    top = TOPOrder(twists)
     if layout == "TOP":
         return top
     # Schreyer order on S^_RANK over leading terms in a rank-2 parent
     leads = draw(st.lists(st.tuples(st.integers(0, 1), _exps),
                           min_size=_RANK, max_size=_RANK))
-    return SchreyerOrder(TOPOrder(kind, twists[:2]), leads)
+    return SchreyerOrder(TOPOrder(twists[:2]), leads)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -11,6 +11,7 @@ from logchern import (GradedFreeModule, GradedModulePresentation,
                       hilbert_function, hilbert_polynomial, krull_dim,
                       module_dual, presentation_of_submodule)
 from logchern import groebner
+from logchern.modules import to_engine
 from logchern.rings import binomial_poly
 
 
@@ -21,7 +22,8 @@ def _vars(arity):
 def _quotient(arity, polys):
     """Presentation of S/(polys)."""
     S = GradedFreeModule(arity, [0])
-    return GradedModulePresentation(S, [S.element([p]) for p in polys])
+    return GradedModulePresentation(
+        S, [to_engine(S.element([p])) for p in polys])
 
 
 def test_koszul_resolution_of_two_variables():
@@ -134,7 +136,7 @@ def test_module_dual_of_free_rank_one_submodule():
     x, y = _vars(2)
     amb = GradedFreeModule(2, [0, 0])
     gen = amb.element([x, -y])
-    pres = presentation_of_submodule([gen])
+    pres = presentation_of_submodule([to_engine(gen)], amb)
     assert pres.target.twists == (1,)
     dual = module_dual(pres)
     assert dual.target.twists == (-1,)
@@ -145,7 +147,8 @@ def test_ext1_of_ideal_module_is_twisted_point():
     # m = (x, y) in S^1 over 2 variables: Ext^1 = (S/(x,y))(2), length 1
     x, y = _vars(2)
     S1 = GradedFreeModule(2, [0])
-    pres = presentation_of_submodule([S1.element([x]), S1.element([y])])
+    pres = presentation_of_submodule(
+        [to_engine(S1.element([x])), to_engine(S1.element([y]))], S1)
     ext = ext1_against_ring(pres)
     assert krull_dim(ext) <= 0
     assert finite_length(ext) == 1
@@ -165,7 +168,7 @@ def test_presentation_rejects_inhomogeneous_relations():
     x, y = _vars(2)
     S = GradedFreeModule(2, [0])
     with pytest.raises(InputError):
-        GradedModulePresentation(S, [S.element([x + x * y])])
+        GradedModulePresentation(S, [to_engine(S.element([x + x * y]))])
 
 
 def test_twisted_presentation_shifts_hilbert_data():
@@ -223,7 +226,7 @@ def test_randomized_minimal_resolutions_are_consistent():
                 comps.append(MultiPoly(arity, terms))
             elem = F.element(comps)
             if not elem.is_zero():
-                rels.append(elem)
+                rels.append(to_engine(elem))
         if not rels:
             continue
         pres = GradedModulePresentation(F, rels)

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logchern.errors import InputError
 from logchern.groebner import buchberger
 from logchern.orders import POTOrder, SchreyerOrder, TOPOrder
 
@@ -43,47 +42,27 @@ def grevlex_cmp(a, b):
     return revlex_cmp(a, b)
 
 
-def lex_cmp(a, b):
-    """+1 if monomial a > b in lex: the first nonzero entry of a - b is
-    positive."""
-    for x, y in zip(a, b):
-        if x != y:
-            return _sign(x - y)
-    return 0
-
-
-MONOMIAL_CMP = {"grevlex": grevlex_cmp, "lex": lex_cmp}
-# the part of each monomial order that breaks ties within one degree
-TIE_CMP = {"grevlex": revlex_cmp, "lex": lex_cmp}
-
-
-def top_cmp(kind, twists):
-    """TOP: twisted degree, then the monomial order's tie-break within one
-    degree, then the smaller position wins."""
-    tie = TIE_CMP[kind]
-
+def top_cmp(twists):
+    """TOP: twisted degree, then revlex within one degree, then the
+    smaller position wins."""
     def cmp(s, t):
         (p, a), (q, b) = s, t
         da, db = sum(a) + twists[p], sum(b) + twists[q]
         if da != db:
             return _sign(da - db)
-        c = tie(a, b)
+        c = revlex_cmp(a, b)
         if c:
             return c
         return _sign(q - p)
     return cmp
 
 
-def pot_cmp(kind):
-    """POT: the smaller position wins outright, then the monomial order."""
-    mono = MONOMIAL_CMP[kind]
-
-    def cmp(s, t):
-        (p, a), (q, b) = s, t
-        if p != q:
-            return _sign(q - p)
-        return mono(a, b)
-    return cmp
+def pot_cmp(s, t):
+    """POT: the smaller position wins outright, then grevlex."""
+    (p, a), (q, b) = s, t
+    if p != q:
+        return _sign(q - p)
+    return grevlex_cmp(a, b)
 
 
 def schreyer_cmp(parent_cmp, leads):
@@ -107,60 +86,50 @@ def _assert_key_sorts_like(order, cmp, ts):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(kind=st.sampled_from(["grevlex", "lex"]),
-       twists=st.lists(st.integers(-3, 3), min_size=RANK, max_size=RANK),
+@given(twists=st.lists(st.integers(-3, 3), min_size=RANK, max_size=RANK),
        ts=terms)
-def test_top_key_matches_definition(kind, twists, ts):
-    _assert_key_sorts_like(TOPOrder(kind, twists), top_cmp(kind, twists), ts)
+def test_top_key_matches_definition(twists, ts):
+    _assert_key_sorts_like(TOPOrder(twists), top_cmp(twists), ts)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(kind=st.sampled_from(["grevlex", "lex"]), ts=terms)
-def test_pot_key_matches_definition(kind, ts):
-    _assert_key_sorts_like(POTOrder(kind), pot_cmp(kind), ts)
+@given(ts=terms)
+def test_pot_key_matches_definition(ts):
+    _assert_key_sorts_like(POTOrder(), pot_cmp, ts)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(kind=st.sampled_from(["grevlex", "lex"]),
-       leads=st.lists(st.tuples(st.integers(0, 1), exps), min_size=RANK,
+@given(leads=st.lists(st.tuples(st.integers(0, 1), exps), min_size=RANK,
                       max_size=RANK),
        ts=terms)
-def test_schreyer_key_matches_definition(kind, leads, ts):
+def test_schreyer_key_matches_definition(leads, ts):
     twists = (0, 1)
-    order = SchreyerOrder(TOPOrder(kind, twists), leads)
-    _assert_key_sorts_like(order, schreyer_cmp(top_cmp(kind, twists), leads),
-                           ts)
+    order = SchreyerOrder(TOPOrder(twists), leads)
+    _assert_key_sorts_like(order, schreyer_cmp(top_cmp(twists), leads), ts)
 
 
 def test_untwisted_top_is_plain_degree():
-    order = TOPOrder("grevlex")
+    order = TOPOrder()
     big, small = (1, (1, 1, 0)), (0, (0, 0, 1))
     assert min([small, big], key=order.key) == big
 
 
-def test_unknown_kind_and_position_are_input_errors():
-    with pytest.raises(InputError):
-        TOPOrder("deglex")
-    with pytest.raises(InputError):
-        POTOrder("deglex")
-
-
 def test_key_is_memoized_once_per_order():
-    order = TOPOrder("grevlex", (0, 1, 2))
+    order = TOPOrder((0, 1, 2))
     t = (2, (1, 0, 3))
     assert order.key(t) is order.key(t)
     assert list(order._cache) == [t]
 
 
 @pytest.mark.parametrize("make_order", [
-    lambda: TOPOrder("grevlex", (0, 2, 1)),
-    lambda: TOPOrder("lex"),
-    lambda: POTOrder("grevlex"),
+    lambda: TOPOrder((0, 2, 1)),
+    lambda: TOPOrder(),
+    lambda: POTOrder(),
 ])
 def test_interreduce_returns_ascending_leading_terms(make_order):
     order = make_order()
-    cmp = (top_cmp(order.kind, order.twists or (0,) * RANK)
-           if isinstance(order, TOPOrder) else pot_cmp(order.kind))
+    cmp = (top_cmp(order.twists or (0,) * RANK)
+           if isinstance(order, TOPOrder) else pot_cmp)
     rng = random.Random(5)
     for _ in range(6):
         gens = []

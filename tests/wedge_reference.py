@@ -21,9 +21,10 @@ from logchern import (EngineError, GradedFreeModule,
                       GradedModulePresentation, HypothesisError, InputError,
                       LogModule, MultiPoly, defining_data,
                       ext1_against_ring, finite_length, groebner_basis,
-                      hilbert_function, kernel_generators, krull_dim,
-                      normal_form, presentation_of_submodule)
+                      hilbert_function, krull_dim, normal_form)
 from logchern.modules import DEGREE_CAP
+from tests.module_reference import (kernel_generators,
+                                    presentation_of_submodule)
 
 
 def log_forms(dd):
