@@ -3,7 +3,8 @@
 CLI exit codes: InputError maps to 1, HypothesisError to 2, and every
 other LogChernError to 3, reported as error type ``"budget"`` for
 NotFiniteLengthError and ResolutionLengthError (a degree cap or resolution
-length was exceeded) and ``"engine"`` otherwise (a failed cross-check).
+length was exceeded) and ``"engine"`` otherwise (a failed cross-check, or
+an exponent beyond the Groebner engine's packed limit).
 """
 
 
@@ -36,4 +37,5 @@ class ResolutionLengthError(LogChernError):
 
 
 class EngineError(LogChernError):
-    """Internal inconsistency detected by a cross-check; indicates a bug."""
+    """Internal inconsistency detected by a cross-check (a bug), or an
+    exponent beyond the engine's packed exponent limit."""

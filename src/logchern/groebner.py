@@ -1,13 +1,36 @@
 """Buchberger engine for submodules of free modules over Q[z_1..z_l].
 
-Internal representation: an element is a dict mapping module terms
+Callers hand in and get back elements as dicts mapping module terms
 ``(pos, exps)`` to nonzero *integer* coefficients, kept content-free.
+The presentations of `modules` hold their relations in this
+representation, so kernels, duals and Ext^1 pass dicts straight to
+`kernel_raw` and `buchberger`; rational `FreeModuleElement` vectors
+appear only at the public element API and in resolution maps.
+
+Inside the engine every term is one Python int in the packed layout of
+`orders`: the position above ``l`` exponent fields of ``FIELD_BITS``
+bits, each with a guard bit on top.  A monomial shift is one int add, a
+quotient one subtract, and a divisibility test one masked subtract,
+``((t | guard) - s) & guard == guard``; the lcm of two leading terms takes
+the larger field wherever that test's guard bit survives.  The entries
+that take dicts (`buchberger`, `normal_form_raw`, and `kernel_raw`
+through `buchberger`) pack them once, through the order; `interreduce`
+and `schreyer_syzygies` take `BasisElem`s, which hold packed terms only
+and decode their public views on demand.  Every dict the engine returns
+is unpacked once.  A tracked reduction keys its syzygy terms
+``(idx << shift) + u`` in the same layout, with the basis index as the
+position.
+
+Overflow contract: an exponent must stay below ``orders.EXP_LIMIT``
+(``2**15``).  `pack` rejects a larger input exponent, and every term the
+engine creates (a shifted reducer term, an S-polynomial term, a Schreyer
+image) is checked with one ``& guard``: a field that outgrew the limit has
+set its guard bit and not yet touched its neighbour, and the engine raises
+`EngineError` naming the limit instead of wrapping silently.
+
 All reductions are fraction-free (scale by the reducer's leading
 coefficient, strip integer content afterwards), so no rational arithmetic
-happens in the inner loops.  The presentations of `modules` hold their
-relations in this representation too, so kernels, duals and Ext^1 pass
-dicts straight to `kernel_raw` and `buchberger`; rational `FreeModuleElement`
-vectors appear only at the public element API and in resolution maps.
+happens in the inner loops.
 
 Reduction keeps the remainder's terms in a heap ordered by the order key
 (smaller key = larger term, see `orders`), so each step pops the leading
@@ -24,10 +47,11 @@ in the module order first.
 
 import heapq
 from math import gcd
-from operator import add
 
 from .errors import EngineError
-from .orders import POTOrder, SchreyerOrder
+from .orders import FIELD_BITS, POTOrder, SchreyerOrder, overflow_error
+
+FIELD_MASK = (1 << FIELD_BITS) - 1
 
 
 class EngineStats:
@@ -84,17 +108,51 @@ def _publish(local):
 
 
 class BasisElem:
-    """A basis element with cached leading data."""
+    """A basis element in packed terms, its leading term kept apart.
 
-    __slots__ = ("d", "lt", "lc", "lpos", "lexps", "single")
+    ``lead`` and ``lc`` are the leading packed term and its coefficient,
+    made positive; ``tail`` maps every other packed term to its
+    coefficient.  ``d``, ``lt``, ``lpos`` and ``lexps`` decode these to
+    ``(pos, exps)`` terms for callers outside the engine; no decoded copy is
+    kept.  The constructor takes over the packed dict ``d``.
+    """
+
+    __slots__ = ("lead", "lc", "tail", "single", "order")
 
     def __init__(self, d, order):
-        self.d = d
-        lt = min(d, key=order.key)
-        self.lt = lt
-        self.lc = d[lt]
-        self.lpos, self.lexps = lt
-        self.single = all(p == self.lpos for p, _ in d)
+        lead = min(d, key=order.key)
+        if d[lead] < 0:
+            for k in d:
+                d[k] = -d[k]
+        self.lead = lead
+        self.lc = d.pop(lead)
+        self.tail = d
+        shift = order.shift
+        lpos = lead >> shift
+        self.single = all(t >> shift == lpos for t in d)
+        self.order = order
+
+    def items(self):
+        """Packed ``(term, coefficient)`` pairs, the leading term first."""
+        yield self.lead, self.lc
+        yield from self.tail.items()
+
+    @property
+    def d(self):
+        unpack = self.order.unpack
+        return {unpack(t): c for t, c in self.items()}
+
+    @property
+    def lt(self):
+        return self.order.unpack(self.lead)
+
+    @property
+    def lpos(self):
+        return self.lead >> self.order.shift
+
+    @property
+    def lexps(self):
+        return self.order.exponents(self.lead)
 
 
 def content_normalize(d):
@@ -112,45 +170,49 @@ def content_normalize(d):
     return d
 
 
-def sign_normalize(d, order):
-    """Flip signs so the leading coefficient is positive."""
-    if not d:
-        return d
-    lt = min(d, key=order.key)
-    if d[lt] < 0:
-        for k in d:
-            d[k] = -d[k]
-    return d
-
-
-def shift_term(term, u):
-    pos, exps = term
-    return (pos, tuple(map(add, exps, u)))
-
-
 def exps_divide(a, b):
-    """True if monomial a divides monomial b."""
+    """True if monomial a divides monomial b (exponent tuples)."""
     for x, y in zip(a, b):
         if x > y:
             return False
     return True
 
 
-def reduce_full(d, by_pos, order, *, track=None, exact=False):
-    """Fully reduce d modulo the bucketed basis.
+def _lcm(a, b, guard):
+    """Packed lcm of two packed terms in one position: per field, the
+    larger exponent."""
+    ge = ((a | guard) - b) & guard  # guard bit set where a's field >= b's
+    m = (ge >> (FIELD_BITS - 1)) * FIELD_MASK
+    return (a & m) | (b & ~m)
 
+
+def _bucket(elems):
+    """Basis elements by leading position, as ``reduce_full`` takes them."""
+    by_pos = {}
+    for i, g in enumerate(elems):
+        by_pos.setdefault(g.lpos, []).append((i, g))
+    return by_pos
+
+
+def reduce_full(d, by_pos, order, *, track=None, exact=False):
+    """Fully reduce the packed dict d modulo the bucketed basis.
+
+    ``by_pos`` maps a position to its ``(index, BasisElem)`` pairs.
     Returns ``(reduced, scale)`` with ``scale * input == reduced`` modulo
-    the submodule.  If ``track`` is given (a term->int dict over the basis
-    index space, seeded so that it expresses the input), the invariant
-    ``sum track[(k, u)] * x^u * g_k == d + result`` is maintained: scalings
-    are mirrored and each subtracted multiple ``c * x^u * g_idx`` updates
-    ``track[(idx, u)] -= c``.  When the input reduces to zero the final
-    track is therefore a syzygy.  Unless ``exact`` is set, the result (and
-    track) are stripped of integer content, losing the meaning of ``scale``.
+    the submodule.  If ``track`` is given (a packed term->int dict over the
+    basis index space, seeded so that it expresses the input), the
+    invariant ``sum track[(k << shift) + u] * x^u * g_k == d + result`` is
+    maintained: scalings are mirrored and each subtracted multiple
+    ``c * x^u * g_idx`` updates ``track[(idx << shift) + u] -= c``.  When
+    the input reduces to zero the final track is therefore a syzygy.  Unless
+    ``exact`` is set, the result (and track) are stripped of integer
+    content, losing the meaning of ``scale``.
     """
     result = {}
     scale = 1
     key = order.key
+    shift = order.shift
+    guard = order.guard
     heap = [(key(t), t) for t in d]
     heapq.heapify(heap)
     pop = heapq.heappop
@@ -159,11 +221,11 @@ def reduce_full(d, by_pos, order, *, track=None, exact=False):
         t = pop(heap)[1]
         if t not in d:
             continue
-        pos, exps = t
         red = None
         idx = -1
-        for i, g in by_pos.get(pos, ()):
-            if exps_divide(g.lexps, exps):
+        tg = t | guard
+        for i, g in by_pos.get(t >> shift, ()):
+            if (tg - g.lead) & guard == guard:
                 red = g
                 idx = i
                 break
@@ -183,13 +245,13 @@ def reduce_full(d, by_pos, order, *, track=None, exact=False):
                 for k in track:
                     track[k] *= mult_all
             scale *= mult_all
-        u = tuple(a - b for a, b in zip(exps, red.lexps))
-        for gt, gc in red.d.items():
-            if gt == red.lt:
-                continue
-            k = shift_term(gt, u)
+        u = t - red.lead
+        for gt, gc in red.tail.items():
+            k = gt + u
             old = d.get(k)
             if old is None:
+                if k & guard:
+                    raise overflow_error(order.exponents(k))
                 d[k] = -mult_g * gc
                 push(heap, (key(k), k))
                 continue
@@ -199,7 +261,7 @@ def reduce_full(d, by_pos, order, *, track=None, exact=False):
             else:
                 del d[k]
         if track is not None:
-            k = (idx, u)
+            k = (idx << shift) + u
             s = track.get(k, 0) - mult_g
             if s:
                 track[k] = s
@@ -227,34 +289,41 @@ def spair(g1, g2, track_indices=None):
 
     Returns ``(s, rep)`` where rep is the syzygy-side start expression
     ``a*x^{u1}*e_{i1} - b*x^{u2}*e_{i2}`` when track_indices=(i1, i2).
+    The leading terms cancel and are left out.
     """
-    L = tuple(max(a, b) for a, b in zip(g1.lexps, g2.lexps))
-    u1 = tuple(a - b for a, b in zip(L, g1.lexps))
-    u2 = tuple(a - b for a, b in zip(L, g2.lexps))
+    order = g1.order
+    guard = order.guard
+    L = _lcm(g1.lead, g2.lead, guard)
+    u1 = L - g1.lead
+    u2 = L - g2.lead
     q = gcd(g1.lc, g2.lc)
     a = g2.lc // q
     b = g1.lc // q
     s = {}
-    for t, c in g1.d.items():
-        s[shift_term(t, u1)] = a * c
-    for t, c in g2.d.items():
-        k = shift_term(t, u2)
-        v = s.get(k, 0) - b * c
+    for t, c in g1.tail.items():
+        k = t + u1
+        if k & guard:
+            raise overflow_error(order.exponents(k))
+        s[k] = a * c
+    for t, c in g2.tail.items():
+        k = t + u2
+        v = s.get(k)
+        if v is None:
+            if k & guard:
+                raise overflow_error(order.exponents(k))
+            s[k] = -b * c
+            continue
+        v -= b * c
         if v:
             s[k] = v
         else:
-            s.pop(k, None)
+            del s[k]
     rep = None
     if track_indices is not None:
         i1, i2 = track_indices
-        rep = {(i1, u1): a, (i2, u2): -b}
+        shift = order.shift
+        rep = {(i1 << shift) + u1: a, (i2 << shift) + u2: -b}
     return s, rep
-
-
-def _coprime(g1, g2):
-    if not (g1.single and g2.single):
-        return False
-    return all(a == 0 or b == 0 for a, b in zip(g1.lexps, g2.lexps))
 
 
 class _Ascending:
@@ -275,59 +344,66 @@ class _Ascending:
 def buchberger(gens, order):
     """Reduced Groebner basis of the submodule generated by ``gens``.
 
-    ``gens`` are term->int dicts; the result is a list of BasisElem,
-    pairwise tail-reduced, content-free with positive leading coefficients,
-    sorted by ascending leading term.  S-pairs are taken lowest lcm degree
-    first, and within one degree smallest lcm first; popping the largest
-    lcm first within a degree makes coefficients grow far faster on
-    inputs with large coefficients.
+    ``gens`` are ``(pos, exps)`` term->int dicts, packed here in the
+    order's layout; the result is a list of BasisElem, pairwise
+    tail-reduced, content-free with positive leading coefficients, sorted
+    by ascending leading term.  S-pairs are taken lowest lcm degree first,
+    and within one degree smallest lcm first; popping the largest lcm first
+    within a degree makes coefficients grow far faster on inputs with large
+    coefficients.
     """
     local = EngineStats()
+    key = order.key
+    degree = order.degree
+    shift = order.shift
+    mask = order.mask
+    guard = order.guard
     G = []
     by_pos = {}
-    alive = {}  # (i, j) -> lcm exps
+    alive = {}  # (i, j) -> packed lcm of the leading terms
     heap = []
 
-    def lcm_with(i, h):
-        return tuple(max(a, b) for a, b in zip(G[i].lexps, h.lexps))
-
     def add_element(d):
-        sign_normalize(d, order)
         h = BasisElem(d, order)
+        lead = h.lead
+        hpos = lead >> shift
         t = len(G)
         # Gebauer-Moeller UPDATE for the new pairs
-        cands = [(i, lcm_with(i, h)) for i in range(t)
-                 if G[i].lpos == h.lpos]
+        cands = [(i, _lcm(G[i].lead, lead, guard)) for i in range(t)
+                 if G[i].lead >> shift == hpos]
         kept = []
         while cands:
             i, L = cands.pop(0)
-            cop = _coprime(G[i], h)
+            # coprime leading monomials: their lcm is their product
+            cop = (G[i].single and h.single
+                   and not (G[i].lead + lead - L) & mask)
             if not cop:
-                if any(exps_divide(L2, L) for _, L2 in cands):
+                Lg = L | guard
+                if any((Lg - L2) & guard == guard for _, L2 in cands):
                     continue
-                if any(exps_divide(L2, L) for _, L2, _c in kept):
+                if any((Lg - L2) & guard == guard for _, L2, _c in kept):
                     continue
             kept.append((i, L, cop))
         # chain-criterion pruning of older pairs
         for (i, j), L in list(alive.items()):
-            if G[i].lpos != h.lpos:
+            if L >> shift != hpos:
                 continue
-            if exps_divide(h.lexps, L):
-                if lcm_with(i, h) != L and lcm_with(j, h) != L:
+            if ((L | guard) - lead) & guard == guard:
+                if (_lcm(G[i].lead, lead, guard) != L
+                        and _lcm(G[j].lead, lead, guard) != L):
                     del alive[(i, j)]
         G.append(h)
-        by_pos.setdefault(h.lpos, []).append((t, h))
+        by_pos.setdefault(hpos, []).append((t, h))
         local.basis_elements += 1
         for i, L, cop in kept:
             if cop:
                 continue
             alive[(i, t)] = L
-            heapq.heappush(heap, (sum(L), _Ascending(order.key((h.lpos, L))),
-                                  i, t))
+            heapq.heappush(heap, (degree(L), _Ascending(key(L)), i, t))
 
+    pack = order.pack
     for d in gens:
-        d = dict(d)
-        r, _ = reduce_full(d, by_pos, order)
+        r, _ = reduce_full({pack(t): c for t, c in d.items()}, by_pos, order)
         if r:
             add_element(r)
     while heap:
@@ -338,8 +414,7 @@ def buchberger(gens, order):
         s, _ = spair(G[i], G[j])
         local.s_pairs += 1
         if s:
-            local.max_degree = max(local.max_degree,
-                                   max(sum(e) for _, e in s))
+            local.max_degree = max(local.max_degree, max(map(degree, s)))
         r, _ = reduce_full(s, by_pos, order)
         if r:
             add_element(r)
@@ -350,34 +425,38 @@ def buchberger(gens, order):
 
 
 def interreduce(G, order):
-    """Minimalize and tail-reduce a Groebner basis; canonical output order."""
-    elems = sorted(G, key=lambda g: order.key(g.lt), reverse=True)
+    """Minimalize and tail-reduce a Groebner basis of BasisElems; canonical
+    output order."""
+    elems = sorted(G, key=lambda g: order.key(g.lead), reverse=True)
     kept = []
     for g in elems:
-        if any(h.lpos == g.lpos and exps_divide(h.lexps, g.lexps)
-               for h in kept):
+        if any(order.divides(h.lead, g.lead) for h in kept):
             continue
         kept.append(g)
     out = []
+    by_pos = _bucket(kept)
     for i, g in enumerate(kept):
-        by_pos = {}
-        for j, h in enumerate(kept):
-            if j != i:
-                by_pos.setdefault(h.lpos, []).append((j, h))
-        r, _ = reduce_full(dict(g.d), by_pos, order)
-        sign_normalize(r, order)
+        # reduce g by all the others: drop it from its bucket meanwhile
+        own = by_pos[g.lpos]
+        by_pos[g.lpos] = [(j, h) for j, h in own if j != i]
+        d = dict(g.tail)
+        d[g.lead] = g.lc
+        r, _ = reduce_full(d, by_pos, order)
+        by_pos[g.lpos] = own
         out.append(BasisElem(r, order))
-    out.sort(key=lambda g: order.key(g.lt), reverse=True)
+    out.sort(key=lambda g: order.key(g.lead), reverse=True)
     return out
 
 
 def normal_form_raw(d, gb, order):
-    """Exact normal form: returns (reduced, scale) with reduced/scale the
-    unique normal form of d modulo the basis."""
-    by_pos = {}
-    for i, g in enumerate(gb):
-        by_pos.setdefault(g.lpos, []).append((i, g))
-    return reduce_full(dict(d), by_pos, order, exact=True)
+    """Exact normal form of the ``(pos, exps)`` dict d: returns (reduced,
+    scale) with reduced/scale the unique normal form of d modulo the
+    basis."""
+    pack = order.pack
+    r, scale = reduce_full({pack(t): c for t, c in d.items()}, _bucket(gb),
+                           order, exact=True)
+    unpack = order.unpack
+    return {unpack(t): c for t, c in r.items()}, scale
 
 
 def schreyer_sort(gb):
@@ -393,16 +472,15 @@ def schreyer_sort(gb):
 def schreyer_syzygies(gb, order):
     """Syzygies of a Groebner basis via S-pair reductions.
 
-    Returns ``(syzygies, schreyer_order)``: the syzygies are term->int
-    dicts over the index space of ``gb`` and form a Groebner basis with
-    respect to the returned Schreyer order (Schreyer's theorem).  All
-    same-position pairs are reduced; no pair criteria are applied here.
+    Returns ``(syzygies, schreyer_order)``: the syzygies are BasisElems over
+    the index space of ``gb``, interreduced into the reduced Groebner basis
+    of the syzygy module with respect to the returned Schreyer order
+    (Schreyer's theorem).  All same-position pairs are reduced; no pair
+    criteria are applied here.
     """
     local = EngineStats()
-    sorder = SchreyerOrder(order, [g.lt for g in gb])
-    by_pos = {}
-    for i, g in enumerate(gb):
-        by_pos.setdefault(g.lpos, []).append((i, g))
+    sorder = SchreyerOrder(order, [g.lead for g in gb])
+    by_pos = _bucket(gb)
     syzygies = []
     n = len(gb)
     for i in range(n):
@@ -417,30 +495,27 @@ def schreyer_syzygies(gb, order):
             if r:
                 raise EngineError("syzygy step fed a non-Groebner basis")
             local.zero_reductions += 1
-            sign_normalize(rep, sorder)
-            syzygies.append(rep)
+            if rep:
+                syzygies.append(BasisElem(rep, sorder))
     _publish(local)
-    return syzygies, sorder
+    return interreduce(syzygies, sorder), sorder
 
 
 def kernel_raw(columns, target_rank, arity):
     """Generators of the kernel of e_j -> columns[j] via POT elimination.
 
-    ``columns`` are term->int dicts over target positions 0..target_rank-1.
-    Returns term->int dicts over source positions 0..len(columns)-1.
+    ``columns`` are ``(pos, exps)`` term->int dicts over target positions
+    0..target_rank-1.  Returns such dicts over source positions
+    0..len(columns)-1.
     """
     if not columns:
         return []
     zero = (0,) * arity
-    gens = []
-    for j, col in enumerate(columns):
-        d = {(p, e): c for (p, e), c in col.items()}
-        d[(target_rank + j, zero)] = 1
-        gens.append(d)
-    gb = buchberger(gens, POTOrder())
-    kernel = []
-    for g in gb:
-        if g.lpos >= target_rank:
-            kernel.append({(p - target_rank, e): c
-                           for (p, e), c in g.d.items()})
-    return kernel
+    gens = [{**col, (target_rank + j, zero): 1}
+            for j, col in enumerate(columns)]
+    order = POTOrder(arity)
+    gb = buchberger(gens, order)
+    unpack = order.unpack
+    off = target_rank << order.shift
+    return [{unpack(t - off): c for t, c in g.items()}
+            for g in gb if g.lpos >= target_rank]

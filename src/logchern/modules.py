@@ -214,12 +214,12 @@ def groebner_basis(gens, module=None):
     if not gens:
         if module is None:
             raise InputError("empty generator list needs an explicit module")
-        return GroebnerBasis(module, [], TOPOrder(module.twists))
+        return GroebnerBasis(module, [], TOPOrder(module.arity, module.twists))
     module = gens[0].module
     for g in gens:
         if g.module != module:
             raise InputError("generators live in different free modules")
-    order = TOPOrder(module.twists)
+    order = TOPOrder(module.arity, module.twists)
     engine_gb = eng.buchberger(
         [to_engine(g) for g in gens if not g.is_zero()], order)
     return GroebnerBasis(module, engine_gb, order)
@@ -240,13 +240,12 @@ def syzygies(gb):
     Schreyer's construction: every same-position S-pair is reduced to zero
     and the tracked quotients are returned as elements of ⊕_i S(-deg g_i).
     """
-    raw, sorder = eng.schreyer_syzygies(gb._engine_gb, gb._engine_order)
+    elems, _ = eng.schreyer_syzygies(gb._engine_gb, gb._engine_order)
     if gb.module.graded:
         twists = [_engine_degree(g, gb.module.twists) for g in gb._engine_gb]
         src = GradedFreeModule(gb.module.arity, twists)
     else:
         src = GradedFreeModule(gb.module.arity, rank=len(gb._engine_gb))
-    elems = eng.interreduce([eng.BasisElem(d, sorder) for d in raw], sorder)
     return [from_engine(g.d, src, divisor=g.lc) for g in elems]
 
 
@@ -349,7 +348,7 @@ class GradedModulePresentation:
         dimension and resolution query starts from it.  The basis is empty
         when the module is free."""
         if self._gb is None:
-            order = TOPOrder(self.target.twists)
+            order = TOPOrder(self.arity, self.target.twists)
             basis = []
             if self.relations:
                 basis = eng.buchberger(self.relations, order)
@@ -482,12 +481,7 @@ def free_resolution(pres, max_len=None, minimal=None):
         if len(chain) > cap:
             raise ResolutionLengthError(
                 f"resolution exceeded {cap} steps; raise max_len")
-        syz, sorder = eng.schreyer_syzygies(current, corder)
-        syz = [d for d in syz if d]
-        if not syz:
-            break
-        selems = eng.interreduce(
-            [eng.BasisElem(d, sorder) for d in syz], sorder)
+        selems, sorder = eng.schreyer_syzygies(current, corder)
         if not selems:
             break
         current = eng.schreyer_sort(selems)

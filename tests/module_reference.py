@@ -59,10 +59,10 @@ def kernel_generators(columns, source_twists=None):
     scaled = [to_engine_scaled(c) for c in columns]
     raw = eng.kernel_raw([d for d, _ in scaled], target.rank, target.arity)
     factors = [f for _, f in scaled]
-    order = TOPOrder(source.twists)
+    order = TOPOrder(source.arity, source.twists)
     out = []
     for d in raw:
-        b = eng.BasisElem(d, order)
+        b = eng.BasisElem({order.pack(t): c for t, c in d.items()}, order)
         elem = from_engine(b.d, source, divisor=b.lc)
         # the raw vector annihilates the scaled columns; correct back
         if any(f != 1 for f in factors):

@@ -163,6 +163,20 @@ def test_engine_cross_check_failure_is_an_engine_report(monkeypatch, capsys):
     assert "error (engine): cross-check failed" in capsys.readouterr().out
 
 
+def test_exponent_overflow_is_an_engine_report(monkeypatch):
+    from logchern import groebner
+    real = groebner.buchberger
+
+    def past_the_limit(gens, order):
+        return real([{(0, (2 ** 15,) * order.arity): 1}], order)
+
+    monkeypatch.setattr(groebner, "buchberger", past_the_limit)
+    report, code = run(_job("verify", "example:boolean_l2", fmt="json"))
+    assert code == 3
+    assert report["error"]["type"] == "engine"
+    assert "exponent limit 32767" in report["error"]["message"]
+
+
 def test_terao_factorization_failure_is_an_engine_report(monkeypatch):
     real = chern_csm.poincare_projective
 

@@ -1,0 +1,71 @@
+"""Pinned engine work: the ``engine`` counters of whole CLI jobs and the
+calls that reach the one reducer, ``groebner.reduce_full``.
+
+The counters depend on the pair order, the Gebauer-Moeller criteria and
+the reduction strategy, so a change of representation inside the engine
+must leave them exactly as they are.  The benchmark's reference check
+skips ``engine``; these tests do not.
+"""
+
+import json
+
+import pytest
+
+from logchern import groebner
+from logchern.cli import JobConfig, run
+
+# fixed inputs of the benchmark workloads (perfbench/inputs.py)
+GENERIC6_L4 = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1],
+               [1, 1, 1, 1], [1, 2, 3, 5]]
+LINES_FIXED = [[1, -2, 6], [9, -9, -5], [3, 9, 0], [8, 4, -3], [6, -7, -9],
+               [-4, 3, -2]]
+
+# (s_pairs, zero_reductions, basis_elements, max_degree)
+PINNED = [
+    ("verify", "octic", (82, 33, 103, 11)),
+    ("nval", "octic", (173, 36, 383, 11)),
+    ("verify", "generic6_l4", (349, 211, 207, 8)),
+    ("nval", "generic6_l4", (414, 192, 476, 8)),
+    ("verify", "lines_fixed", (127, 60, 111, 9)),
+]
+
+
+def _input(tmp_path, name):
+    if name == "octic":
+        return "example:nonfree_octic"
+    rows = {"generic6_l4": GENERIC6_L4, "lines_fixed": LINES_FIXED}[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"l": len(rows[0]), "hyperplanes": rows}))
+    return str(path)
+
+
+@pytest.mark.parametrize("command,name,counters", PINNED)
+def test_engine_counters_are_pinned(tmp_path, command, name, counters):
+    report, code = run(JobConfig(command, _input(tmp_path, name),
+                                 fmt="json"))
+    assert code == 0
+    engine = report["engine"]
+    assert (engine["s_pairs"], engine["zero_reductions"],
+            engine["basis_elements"], engine["max_degree"]) == counters
+
+
+@pytest.mark.parametrize("command,calls", [("verify", 235), ("nval", 813),
+                                           ("modules", 259)])
+def test_every_reduction_goes_through_reduce_full(monkeypatch, command,
+                                                  calls):
+    real = groebner.reduce_full
+    seen = []
+
+    def counted(*args, **kwargs):
+        result = real(*args, **kwargs)
+        seen.append(result)
+        return result
+
+    monkeypatch.setattr(groebner, "reduce_full", counted)
+    _report, code = run(JobConfig(command, "example:nonfree_octic",
+                                  fmt="json"))
+    assert code == 0
+    assert len(seen) == calls
+    # the reducer hands back coefficients the benchmark can size
+    assert any(reduced for reduced, _scale in seen)
+    assert all(isinstance(scale, int) for _reduced, scale in seen)

@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 from logchern import (EngineStats, GradedFreeModule, MultiPoly,
                       groebner_basis, kernel_generators, normal_form,
                       presentation_of_submodule, stats_scope, syzygies)
-from logchern.groebner import (BasisElem, content_normalize, exps_divide,
-                               reduce_full, shift_term)
+from logchern.errors import EngineError
+from logchern.groebner import (BasisElem, _lcm, buchberger, content_normalize,
+                               exps_divide, reduce_full)
 from logchern.modules import to_engine
-from logchern.orders import POTOrder, SchreyerOrder, TOPOrder
+from logchern.orders import EXP_LIMIT, POTOrder, SchreyerOrder, TOPOrder
 
 
 def _ring(arity, twist=0):
@@ -244,15 +245,27 @@ def test_nested_scopes_each_count_every_engine_call_once():
     assert outer.as_dict() == twice.as_dict()
 
 
-# ----- heap reducer against the linear-scan reducer -----
+# ----- packed heap reducer against the tuple-term linear-scan reducer -----
+
+def shift_term(term, u):
+    pos, exps = term
+    return (pos, tuple(a + b for a, b in zip(exps, u)))
+
 
 def _linear_scan_reduce(d, by_pos, order, *, track=None, exact=False):
-    """Reference reducer: the engine's reduction loop before the heap, which
-    rescans the whole remainder for its leading term on every step."""
+    """Reference reducer on ``(pos, exps)`` terms: the engine's reduction
+    loop before packed terms and the heap, which rescans the whole
+    remainder for its leading term on every step.  It reads the basis
+    through the decoded ``BasisElem`` views and compares terms by the
+    order's key of their packed form."""
     result = {}
     scale = 1
+
+    def key(t):
+        return order.key(order.pack(t))
+
     while d:
-        t = min(d, key=order.key)
+        t = min(d, key=key)
         pos, exps = t
         red = None
         idx = -1
@@ -323,16 +336,25 @@ _vector = st.dictionaries(st.tuples(st.integers(0, _RANK - 1), _exps),
 def _orders(draw):
     layout = draw(st.sampled_from(["TOP", "POT", "Schreyer"]))
     if layout == "POT":
-        return POTOrder()
+        return POTOrder(_ARITY)
     twists = draw(st.lists(st.integers(-2, 2), min_size=_RANK,
                            max_size=_RANK))
-    top = TOPOrder(twists)
+    top = TOPOrder(_ARITY, twists)
     if layout == "TOP":
         return top
     # Schreyer order on S^_RANK over leading terms in a rank-2 parent
     leads = draw(st.lists(st.tuples(st.integers(0, 1), _exps),
                           min_size=_RANK, max_size=_RANK))
-    return SchreyerOrder(TOPOrder(twists[:2]), leads)
+    parent = TOPOrder(_ARITY, twists[:2])
+    return SchreyerOrder(parent, [parent.pack(t) for t in leads])
+
+
+def _packed(d, order):
+    return {order.pack(t): c for t, c in d.items()}
+
+
+def _decoded(d, order):
+    return {order.unpack(t): c for t, c in d.items()}
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -341,13 +363,81 @@ def _orders(draw):
 def test_heap_reduce_matches_linear_scan(order, basis, d, tracked, exact):
     by_pos = {}
     for i, g in enumerate(basis):
-        elem = BasisElem(g, order)
+        elem = BasisElem(_packed(g, order), order)
         by_pos.setdefault(elem.lpos, []).append((i, elem))
     seed = {(len(basis), (0,) * _ARITY): 1} if tracked else None
     want_track = dict(seed) if tracked else None
-    got_track = dict(seed) if tracked else None
+    got_track = _packed(seed, order) if tracked else None
     want = _linear_scan_reduce(dict(d), by_pos, order, track=want_track,
                                exact=exact)
-    got = reduce_full(dict(d), by_pos, order, track=got_track, exact=exact)
-    assert got == want
-    assert got_track == want_track
+    reduced, scale = reduce_full(_packed(d, order), by_pos, order,
+                                 track=got_track, exact=exact)
+    assert (_decoded(reduced, order), scale) == want
+    if tracked:
+        assert _decoded(got_track, order) == want_track
+
+
+# ----- the packed term layout -----
+
+_field = st.one_of(st.integers(0, 3), st.integers(0, EXP_LIMIT - 1),
+                   st.sampled_from([EXP_LIMIT // 2, EXP_LIMIT - 1]))
+
+
+@st.composite
+def _layout_cases(draw):
+    arity = draw(st.integers(1, 7))
+    a, b, u = (tuple(draw(st.lists(_field, min_size=arity, max_size=arity)))
+               for _ in range(3))
+    return arity, draw(st.integers(0, 5)), a, b, u
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=_layout_cases())
+def test_packed_terms_match_exponent_tuples(case):
+    arity, pos, a, b, u = case
+    order = POTOrder(arity)
+    guard = order.guard
+    t = order.pack((pos, a))
+    assert order.unpack(t) == (pos, a)
+    assert order.degree(t) == sum(a)
+    # guard-bit divisibility, also where b is made a multiple of a
+    for c in (b, tuple(map(max, a, b))):
+        s = order.pack((pos, c))
+        assert (((s | guard) - t) & guard == guard) == exps_divide(a, c)
+        assert order.divides(t, s) == exps_divide(a, c)
+        assert not order.divides(t, s + (1 << order.shift))
+        assert _lcm(t, s, guard) == order.pack((pos, tuple(map(max, a, c))))
+    # a shift is one add; a field that outgrows the limit sets its guard
+    shifted = tuple(x + y for x, y in zip(a, u))
+    tu = t + order.pack((0, u))
+    if max(shifted) < EXP_LIMIT:
+        assert tu == order.pack(shift_term((pos, a), u))
+    else:
+        assert tu & guard
+        assert order.exponents(tu) == shifted
+
+
+def test_exponent_beyond_the_field_limit_raises():
+    order = TOPOrder(1)
+    with pytest.raises(EngineError, match=str(EXP_LIMIT - 1)):
+        buchberger([{(0, (2 ** 15,)): 1}], order)
+    assert buchberger([{(0, (2 ** 15 - 1,)): 1}], order)[0].lexps == \
+        (2 ** 15 - 1,)
+
+
+@pytest.mark.parametrize("gens", [
+    # S(g1, g2) = y^5000 * g1 - x^29999 * g2 = y^35000
+    [{(0, (30000, 0)): 1, (0, (0, 30000)): 1}, {(0, (1, 5000)): 1}],
+    # reducing x^20000 y^13000 by x^20000 + y^19999 leaves y^32999
+    [{(0, (20000, 0)): 1, (0, (0, 19999)): 1}, {(0, (20000, 13000)): 1}],
+], ids=["spair", "reduction"])
+def test_shift_past_the_field_limit_raises_instead_of_wrapping(gens):
+    with pytest.raises(EngineError, match=str(EXP_LIMIT - 1)):
+        buchberger(gens, TOPOrder(2))
+
+
+def test_schreyer_image_past_the_field_limit_raises():
+    parent = TOPOrder(1)
+    order = SchreyerOrder(parent, [parent.pack((0, (30000,)))])
+    with pytest.raises(EngineError, match=str(EXP_LIMIT - 1)):
+        order.key(order.pack((0, (5000,))))
