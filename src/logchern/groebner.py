@@ -2,10 +2,10 @@
 
 Callers hand in and get back elements as dicts mapping module terms
 ``(pos, exps)`` to nonzero *integer* coefficients, kept content-free.
-The presentations of `modules` hold their relations in this
+The presentations and resolution maps of `modules` hold this
 representation, so kernels, duals and Ext^1 pass dicts straight to
 `kernel_raw` and `buchberger`; rational `FreeModuleElement` vectors
-appear only at the public element API and in resolution maps.
+appear only at the public element API.
 
 Inside the engine every term is one Python int in the packed layout of
 `orders`: the position above ``l`` exponent fields of ``FIELD_BITS``

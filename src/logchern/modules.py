@@ -5,12 +5,12 @@ Ext^1 against the ring.
 A module is presented as the cokernel of a map between graded free modules.
 A presentation holds its relations as the engine's integer term dicts
 ``{(pos, exps): int}``, and submodule presentations, duals and Ext^1
-compute kernels on those dicts.  A map with rational entries enters
-the engine once, with one common denominator cleared for all its columns,
-which leaves its kernel unchanged.  `FreeModuleElement` vectors over Q
-remain the element type of the public `groebner_basis`, `normal_form`,
-`syzygies` and `kernel_generators` and of the maps of a `ResolutionData`;
-`to_engine` and `from_engine` convert at that boundary.
+compute kernels on those dicts.  A resolution map is such dicts over one
+positive integer divisor, minimalized fraction-free, so it enters the
+engine as it is.  `FreeModuleElement` vectors over Q remain the element
+type of the public `groebner_basis`, `normal_form`, `syzygies` and
+`kernel_generators`; `to_engine` and `from_engine` convert at that
+boundary, and `ResolutionData.dump` renders through `from_engine`.
 
 The same machinery runs in an ungraded mode (twists absent) for
 computations in affine charts, where minimality of resolutions is not
@@ -19,7 +19,8 @@ defined and is skipped.
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb, lcm
+from math import comb, gcd, lcm
+from operator import add
 
 from . import groebner as eng
 from .errors import (EngineError, InputError, NotFiniteLengthError,
@@ -388,47 +389,40 @@ class GradedModulePresentation:
 class ResolutionData:
     """A chain F_len -> ... -> F_1 -> F_0 with maps[k]: terms[k+1]->terms[k].
 
-    Map columns are elements of terms[k]; consecutive maps compose to zero
-    and the image of maps[k] equals the kernel of maps[k-1] by construction
-    (iterated syzygies).
+    ``maps[k]`` holds one integer term dict per generator of terms[k+1],
+    over the positions of terms[k]; the map sends the generator to its
+    dict divided by the positive integer ``divisors[k]``, reduced so that
+    the gcd of the dicts' content and the divisor is 1.  Consecutive maps
+    compose to zero and the image of maps[k] equals the kernel of
+    maps[k-1] by construction (iterated syzygies).
     """
 
-    __slots__ = ("terms", "maps", "minimal")
+    __slots__ = ("terms", "maps", "divisors", "minimal")
 
-    def __init__(self, terms, maps, minimal):
+    def __init__(self, terms, maps, divisors, minimal):
         self.terms = list(terms)
         self.maps = [list(cols) for cols in maps]
+        self.divisors = list(divisors)
         self.minimal = minimal
 
     @property
     def length(self):
         return len(self.maps)
 
-    def matrix(self, k):
-        """Entry grid of maps[k]: rows over terms[k], cols over terms[k+1]."""
-        cols = self.maps[k]
-        nrows = self.terms[k].rank
-        return [[col.components[i] for col in cols] for i in range(nrows)]
-
     def compose_is_zero(self):
-        for k in range(len(self.maps) - 1):
-            lower = self.maps[k]
-            for col in self.maps[k + 1]:
-                acc = self.terms[k].zero_element()
-                for i, p in enumerate(col.components):
-                    if not p.is_zero():
-                        acc = acc + lower[i].poly_mul(p)
-                if not acc.is_zero():
+        for lower, upper in zip(self.maps, self.maps[1:]):
+            for col in upper:
+                acc = {}
+                for (i, e), a in col.items():
+                    for (pos, f), b in lower[i].items():
+                        t = (pos, tuple(map(add, e, f)))
+                        acc[t] = acc.get(t, 0) + a * b
+                if any(acc.values()):
                     return False
         return True
 
     def has_unit_entry(self):
-        for k in range(len(self.maps)):
-            for col in self.maps[k]:
-                for p in col.components:
-                    if _is_unit_entry(p):
-                        return True
-        return False
+        return any(_constant_rows(col) for cols in self.maps for col in cols)
 
     def dump(self):
         """Twist multisets plus rendered matrices (the golden-test format)."""
@@ -436,14 +430,47 @@ class ResolutionData:
         for F in self.terms:
             out["terms"].append(F.twist_multiset() if F.graded
                                 else {"rank": F.rank})
-        for k in range(len(self.maps)):
-            grid = self.matrix(k)
-            out["maps"].append([[p.render() for p in row] for row in grid])
+        for k, cols in enumerate(self.maps):
+            elems = [from_engine(d, self.terms[k], self.divisors[k])
+                     for d in cols]
+            out["maps"].append([[e.components[i].render() for e in elems]
+                                for i in range(self.terms[k].rank)])
         return out
 
 
-def _is_unit_entry(p):
-    return bool(p.terms) and set(p.terms) == {(0,) * p.arity}
+def _constant_rows(col):
+    """Positions at which the column's entry is a nonzero constant."""
+    const, other = set(), set()
+    for pos, exps in col:
+        (other if any(exps) else const).add(pos)
+    return const - other
+
+
+def _first_unit(maps):
+    """``(map, row, column)`` of the first constant entry, or None."""
+    for k, B in enumerate(maps):
+        units = [(r, c) for c, col in enumerate(B)
+                 for r in _constant_rows(col)]
+        if units:
+            return (k,) + min(units)
+    return None
+
+
+def _drop_row(col, r):
+    """The column's nonzero terms off position r, later positions moved up
+    by one."""
+    return {(pos - (pos > r), exps): c for (pos, exps), c in col.items()
+            if c and pos != r}
+
+
+def _reduced(cols, divisor):
+    """The columns and ``divisor`` with the gcd of the columns' content and
+    the divisor, signed like the divisor, divided out of both."""
+    g = gcd(divisor, *(c for col in cols for c in col.values()))
+    g = g if divisor > 0 else -g
+    if g == 1:
+        return cols, divisor
+    return [{t: c // g for t, c in col.items()} for col in cols], divisor // g
 
 
 def free_resolution(pres, max_len=None, minimal=None):
@@ -464,9 +491,9 @@ def free_resolution(pres, max_len=None, minimal=None):
     F0 = pres.target
     gb, order0 = pres.relation_gb()
     if not gb:
-        return ResolutionData([F0], [], minimal=True)
+        return ResolutionData([F0], [], [], minimal=True)
     terms = [F0]
-    chain = []  # (engine elements, codomain index)
+    chain = []  # engine elements of each map
     current = eng.schreyer_sort(gb)
     corder = order0
     ctwists = F0.twists
@@ -487,99 +514,66 @@ def free_resolution(pres, max_len=None, minimal=None):
         current = eng.schreyer_sort(selems)
         corder = sorder
         ctwists = Fk.twists
-    maps = []
-    for k, elems in enumerate(chain):
-        codomain = terms[k]
-        # columns keep the content-free integer representatives: the next
-        # level's syzygies pair against exactly these, so consecutive maps
-        # compose to zero on the nose
-        maps.append([from_engine(g.d, codomain) for g in elems])
-    res = ResolutionData(terms, maps, minimal=False)
+    # columns keep the content-free integer representatives: the next
+    # level's syzygies pair against exactly these, so consecutive maps
+    # compose to zero on the nose
+    res = ResolutionData(terms, [[g.d for g in elems] for elems in chain],
+                         [1] * len(chain), minimal=False)
     if minimal:
         res = minimalize_resolution(res)
     return res
 
 
 def minimalize_resolution(res):
-    """Cancel unit entries by Gaussian elimination on the whole complex."""
-    arity = res.terms[0].arity
+    """Cancel unit entries by fraction-free elimination on the whole complex.
+
+    The pivot is the first constant entry ``u``, by map, then row, then
+    column: at row r and column c of map B.  Column operations clear row r
+    off c, ``B := u*B - col_c (x) row_r`` with the divisor multiplied by
+    ``u``; then row r and column c of B, row c of the next map and column r
+    of the previous one are deleted.  The matching basis changes would
+    touch only that row and that column of the neighbours, so they are
+    not made.
+    """
+    zero = (0,) * res.terms[0].arity
     twists = [list(F.twists) for F in res.terms]
-    mats = [[row[:] for row in res.matrix(k)] for k in range(res.length)]
-
-    def find_unit():
-        for k, B in enumerate(mats):
-            for r, row in enumerate(B):
-                for c, p in enumerate(row):
-                    if _is_unit_entry(p):
-                        return k, r, c, p.constant_term()
-        return None
-
-    while True:
-        found = find_unit()
-        if found is None:
-            break
-        k, r, c, u = found
-        B = mats[k]
-        nrows = len(B)
-        ncols = len(B[0])
-        inv_u = Fraction(1) / Fraction(u)
-        row_r = [B[r][j] for j in range(ncols)]   # original row r
-        col_c = [B[s][c] for s in range(nrows)]   # original column c
-        # column ops: col_j -= (B[r][j]/u) col_c, clearing row r off c
-        for j in range(ncols):
-            if j == c or row_r[j].is_zero():
+    maps = [list(cols) for cols in res.maps]
+    divisors = list(res.divisors)
+    while (pivot := _first_unit(maps)) is not None:
+        k, r, c = pivot
+        col_c = maps[k][c]
+        u = col_c[(r, zero)]
+        cols = []
+        for j, col in enumerate(maps[k]):
+            if j == c:
                 continue
-            q = row_r[j] * inv_u
-            for s in range(nrows):
-                B[s][j] = B[s][j] - col_c[s] * q
-        # mirror on the next map: row_c += sum_j (B[r][j]/u) row_j
-        if k + 1 < len(mats):
-            A = mats[k + 1]
-            width = len(A[0]) if A else 0
-            for j in range(ncols):
-                if j == c or row_r[j].is_zero():
-                    continue
-                q = row_r[j] * inv_u
-                for t in range(width):
-                    A[c][t] = A[c][t] + q * A[j][t]
-        # mirror of the row ops on the previous map:
-        # col_r += sum_s (B[s][c]/u) col_s
-        if k - 1 >= 0:
-            C = mats[k - 1]
-            for s in range(nrows):
-                if s == r or col_c[s].is_zero():
-                    continue
-                q = col_c[s] * inv_u
-                for t in range(len(C)):
-                    C[t][r] = C[t][r] + C[t][s] * q
-        # delete the cancelled generator pair
-        del B[r]
-        for row in B:
-            del row[c]
-        if k + 1 < len(mats):
-            del mats[k + 1][c]
-        if k - 1 >= 0:
-            for row in mats[k - 1]:
-                del row[r]
+            row = [(e, a) for (pos, e), a in col.items() if pos == r]
+            if row or u != 1:
+                col = {t: u * a for t, a in col.items()}
+            for e, a in row:
+                for (s, f), b in col_c.items():
+                    t = (s, tuple(map(add, e, f)))
+                    col[t] = col.get(t, 0) - a * b
+            cols.append(_drop_row(col, r))
+        maps[k] = cols
+        divisors[k] *= u
+        if k + 1 < len(maps):
+            maps[k + 1] = [_drop_row(col, c) for col in maps[k + 1]]
+        if k > 0:
+            del maps[k - 1][r]
         del twists[k][r]
         del twists[k + 1][c]
+        for i in range(max(k - 1, 0), min(k + 2, len(maps))):
+            maps[i], divisors[i] = _reduced(maps[i], divisors[i])
     # trim trailing zero-rank terms
     while len(twists) > 1 and not twists[-1]:
         twists.pop()
-        mats.pop()
-    if len(twists) > 2:
-        for tw in twists[1:-1]:
-            if not tw:
-                raise EngineError(
-                    "intermediate zero term after minimalization")
-    terms = [GradedFreeModule(arity, tw) for tw in twists]
-    maps = []
-    for k, B in enumerate(mats):
-        ncols = len(B[0]) if B else 0
-        cols = [FreeModuleElement(terms[k], [B[i][j] for i in range(len(B))])
-                for j in range(ncols)]
-        maps.append(cols)
-    return ResolutionData(terms, maps, minimal=True)
+        maps.pop()
+        divisors.pop()
+    if any(not tw for tw in twists[1:-1]):
+        raise EngineError("intermediate zero term after minimalization")
+    terms = [GradedFreeModule(res.terms[0].arity, tw) for tw in twists]
+    return ResolutionData(terms, maps, divisors, minimal=True)
 
 
 # ----- Hilbert data -----
@@ -733,10 +727,10 @@ def ext1_against_ring(pres):
     if res.length == 0:
         return GradedModulePresentation.zero(pres.arity, graded=graded)
     F1d = res.terms[1].dual()
-    phi1_T = _transpose(to_engine_scaled(res.maps[0]), res.terms[0].rank)
+    phi1_T = _transpose(res.maps[0], res.terms[0].rank)
     if res.length == 1:
         return GradedModulePresentation(F1d, phi1_T)
-    phi2_T = _transpose(to_engine_scaled(res.maps[1]), res.terms[1].rank)
+    phi2_T = _transpose(res.maps[1], res.terms[1].rank)
     kernel = eng.kernel_raw(phi2_T, res.terms[2].rank, pres.arity)
     if not kernel:
         return GradedModulePresentation.zero(pres.arity, graded=graded)

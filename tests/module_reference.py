@@ -1,19 +1,24 @@
-"""Reference route for kernels, submodule presentations, duals and Ext^1.
+"""Reference route for kernels, submodule presentations, duals, minimal
+resolutions and Ext^1.
 
 The library computes these on the engine's integer term dicts and enters
 each map into the engine once, with one common denominator cleared.  This
 module keeps the earlier route on `FreeModuleElement` vectors, which the
 tests compare against the library: every column is scaled to a primitive
 integer vector on its own, and each kernel vector is corrected back by the
-per-column factors and made monic.  Presentations are handed to the library
-class as integer term dicts (`to_engine`), and read back with `from_engine`.
+per-column factors and made monic.  Minimal resolutions cancel unit
+entries by Gaussian elimination over `Fraction` on grids of `MultiPoly`
+entries, with the basis changes mirrored on the neighbouring maps; they
+start from the library's non-minimal Schreyer resolution, read with
+`from_engine`.  Presentations are handed to the library class as integer
+term dicts (`to_engine`), and read back with `from_engine`.
 """
 
 from fractions import Fraction
 from math import gcd
 
 from logchern import groebner as eng
-from logchern.errors import InputError
+from logchern.errors import EngineError, InputError
 from logchern.modules import (FreeModuleElement, GradedFreeModule,
                               GradedModulePresentation, free_resolution,
                               from_engine, to_engine)
@@ -120,13 +125,140 @@ def module_dual(pres):
     return presentation_of_submodule(gens)
 
 
+class ElementResolution:
+    """A chain of maps whose columns are `FreeModuleElement`s of terms[k]."""
+
+    def __init__(self, terms, maps, minimal):
+        self.terms = list(terms)
+        self.maps = [list(cols) for cols in maps]
+        self.minimal = minimal
+
+    @property
+    def length(self):
+        return len(self.maps)
+
+    def matrix(self, k):
+        """Entry grid of maps[k]: rows over terms[k], cols over terms[k+1]."""
+        cols = self.maps[k]
+        nrows = self.terms[k].rank
+        return [[col.components[i] for col in cols] for i in range(nrows)]
+
+    def dump(self):
+        """The library's `ResolutionData.dump` format."""
+        out = {"minimal": self.minimal, "terms": [], "maps": []}
+        for F in self.terms:
+            out["terms"].append(F.twist_multiset() if F.graded
+                                else {"rank": F.rank})
+        for k in range(len(self.maps)):
+            grid = self.matrix(k)
+            out["maps"].append([[p.render() for p in row] for row in grid])
+        return out
+
+
+def schreyer_resolution(pres):
+    """The library's non-minimal resolution, its maps read as elements."""
+    raw = free_resolution(pres, minimal=False)
+    maps = [[from_engine(d, raw.terms[k], raw.divisors[k]) for d in cols]
+            for k, cols in enumerate(raw.maps)]
+    return ElementResolution(raw.terms, maps, raw.minimal)
+
+
+def minimal_resolution(pres):
+    """Minimal resolution of a graded presentation, by the Fraction grid
+    elimination below."""
+    return minimalize_resolution(schreyer_resolution(pres))
+
+
+def _is_unit_entry(p):
+    return bool(p.terms) and set(p.terms) == {(0,) * p.arity}
+
+
+def minimalize_resolution(res):
+    """Cancel unit entries by Gaussian elimination on the whole complex."""
+    arity = res.terms[0].arity
+    twists = [list(F.twists) for F in res.terms]
+    mats = [[row[:] for row in res.matrix(k)] for k in range(res.length)]
+
+    def find_unit():
+        for k, B in enumerate(mats):
+            for r, row in enumerate(B):
+                for c, p in enumerate(row):
+                    if _is_unit_entry(p):
+                        return k, r, c, p.constant_term()
+        return None
+
+    while True:
+        found = find_unit()
+        if found is None:
+            break
+        k, r, c, u = found
+        B = mats[k]
+        nrows = len(B)
+        ncols = len(B[0])
+        inv_u = Fraction(1) / Fraction(u)
+        row_r = [B[r][j] for j in range(ncols)]   # original row r
+        col_c = [B[s][c] for s in range(nrows)]   # original column c
+        # column ops: col_j -= (B[r][j]/u) col_c, clearing row r off c
+        for j in range(ncols):
+            if j == c or row_r[j].is_zero():
+                continue
+            q = row_r[j] * inv_u
+            for s in range(nrows):
+                B[s][j] = B[s][j] - col_c[s] * q
+        # mirror on the next map: row_c += sum_j (B[r][j]/u) row_j
+        if k + 1 < len(mats):
+            A = mats[k + 1]
+            width = len(A[0]) if A else 0
+            for j in range(ncols):
+                if j == c or row_r[j].is_zero():
+                    continue
+                q = row_r[j] * inv_u
+                for t in range(width):
+                    A[c][t] = A[c][t] + q * A[j][t]
+        # mirror of the row ops on the previous map:
+        # col_r += sum_s (B[s][c]/u) col_s
+        if k - 1 >= 0:
+            C = mats[k - 1]
+            for s in range(nrows):
+                if s == r or col_c[s].is_zero():
+                    continue
+                q = col_c[s] * inv_u
+                for t in range(len(C)):
+                    C[t][r] = C[t][r] + C[t][s] * q
+        # delete the cancelled generator pair
+        del B[r]
+        for row in B:
+            del row[c]
+        if k + 1 < len(mats):
+            del mats[k + 1][c]
+        if k - 1 >= 0:
+            for row in mats[k - 1]:
+                del row[r]
+        del twists[k][r]
+        del twists[k + 1][c]
+    # trim trailing zero-rank terms
+    while len(twists) > 1 and not twists[-1]:
+        twists.pop()
+        mats.pop()
+    if len(twists) > 2:
+        for tw in twists[1:-1]:
+            if not tw:
+                raise EngineError(
+                    "intermediate zero term after minimalization")
+    terms = [GradedFreeModule(arity, tw) for tw in twists]
+    maps = []
+    for k, B in enumerate(mats):
+        ncols = len(B[0]) if B else 0
+        cols = [FreeModuleElement(terms[k], [B[i][j] for i in range(len(B))])
+                for j in range(ncols)]
+        maps.append(cols)
+    return ElementResolution(terms, maps, minimal=True)
+
+
 def ext1_against_ring(pres):
     """Ext^1_S(M, S) as homology of the dualized resolution at step 1."""
     graded = pres.graded
-    if graded:
-        res = pres.minimal_resolution()
-    else:
-        res = free_resolution(pres, minimal=False)
+    res = minimal_resolution(pres) if graded else schreyer_resolution(pres)
     if res.length == 0:
         return GradedModulePresentation.zero(pres.arity, graded=graded)
     F0, F1 = res.terms[0], res.terms[1]

@@ -206,7 +206,7 @@ def test_criterion_7_property_suites(octic_arrangement):
     padded = ResolutionData(
         [type(minimal.terms[0])(4, list(minimal.terms[0].twists) + [9]),
          type(minimal.terms[1])(4, list(minimal.terms[1].twists) + [9])],
-        [[], []], minimal=False)
+        [[], []], [1, 1], minimal=False)
     assert chern_from_resolution(padded, 1, 4) == ct
     raw = free_resolution(d0.presentation, minimal=False)
     assert chern_from_resolution(raw, 1, 4) == ct

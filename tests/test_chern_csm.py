@@ -56,7 +56,7 @@ def test_chern_whitney_resolution_independence(octic_modules):
     # pad with a trivial S(-6) -> S(-6) summand
     padded_terms = [GradedFreeModule(4, list(minimal.terms[0].twists) + [6]),
                     GradedFreeModule(4, list(minimal.terms[1].twists) + [6])]
-    padded = ResolutionData(padded_terms, [[], []], minimal=False)
+    padded = ResolutionData(padded_terms, [[], []], [1, 1], minimal=False)
     assert chern_from_resolution(padded, 1, 4) == ct_min
     # and a genuinely non-minimal resolution of the same module
     raw = free_resolution(d0.presentation, minimal=False)

@@ -2,6 +2,7 @@
 
 import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -284,6 +285,19 @@ def test_resolution_command_dumps_twists():
     d0 = report["result"]["D0"]
     assert d0["terms"] == [{-3: 5}, {-4: 2}] or \
         d0["terms"] == [{"-3": 5}, {"-4": 2}]
+
+
+GOLDEN = Path(__file__).parent / "data" / "resolution_golden.json"
+
+
+@pytest.mark.parametrize("name", [name for name, _ in bundled_examples()])
+def test_resolution_maps_match_the_golden_file(name):
+    # the minimal maps of D_0, Omega^1 and Omega^1_0 as `resolution`
+    # prints them; CI compares the installed script with the same file
+    report, code = run(_job("resolution", f"example:{name}", fmt="json"))
+    assert code == 0
+    golden = json.loads(GOLDEN.read_text())
+    assert json.loads(render(report, "json"))["result"] == golden[name]
 
 
 def test_modules_command_reports_kinds():

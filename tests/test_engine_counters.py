@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from logchern import groebner
+from logchern import groebner, modules
 from logchern.cli import JobConfig, run
 
 # fixed inputs of the benchmark workloads (perfbench/inputs.py)
@@ -69,3 +69,24 @@ def test_every_reduction_goes_through_reduce_full(monkeypatch, command,
     # the reducer hands back coefficients the benchmark can size
     assert any(reduced for reduced, _scale in seen)
     assert all(isinstance(scale, int) for _reduced, scale in seen)
+
+
+@pytest.mark.parametrize("command,converts", [("verify", False),
+                                              ("nval", False),
+                                              ("resolution", True)])
+def test_resolution_maps_stay_integer_term_dicts(monkeypatch, command,
+                                                 converts):
+    # resolutions, their minimalization and Ext^1 never convert to
+    # FreeModuleElement and back; `resolution` renders its maps once
+    calls = []
+    for name in ("from_engine", "to_engine_scaled"):
+        real = getattr(modules, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(modules, name, counted)
+    _report, code = run(JobConfig(command, "example:nonfree_octic",
+                                  fmt="json"))
+    assert code == 0
+    assert bool(calls) == converts

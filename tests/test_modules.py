@@ -11,7 +11,7 @@ from logchern import (GradedFreeModule, GradedModulePresentation,
                       hilbert_function, hilbert_polynomial, krull_dim,
                       module_dual, presentation_of_submodule)
 from logchern import groebner
-from logchern.modules import to_engine
+from logchern.modules import ResolutionData, to_engine
 from logchern.rings import binomial_poly
 
 
@@ -35,6 +35,33 @@ def test_koszul_resolution_of_two_variables():
     assert res.compose_is_zero()
     assert not res.has_unit_entry()
     assert res.minimal
+
+
+def _chain(twists, maps):
+    """A chain over two variables with integer term-dict maps, divisors 1."""
+    terms = [GradedFreeModule(2, t) for t in twists]
+    return ResolutionData(terms, maps, [1] * len(maps), minimal=False)
+
+
+def test_compose_is_zero_detects_a_nonzero_composite():
+    x, y = (1, 0), (0, 1)
+    koszul = _chain([[0], [1, 1], [2]], [[{(0, x): 1}, {(0, y): 1}],
+                                         [{(0, y): 1, (1, x): -1}]])
+    assert koszul.compose_is_zero()
+    # (x, y) . (y, x) = 2xy
+    twisted = _chain([[0], [1, 1], [2]], [[{(0, x): 1}, {(0, y): 1}],
+                                          [{(0, y): 1, (1, x): 1}]])
+    assert not twisted.compose_is_zero()
+
+
+def test_has_unit_entry_finds_a_constant_entry():
+    one = (0, 0)
+    assert _chain([[0], [0]], [[{(0, one): 3}]]).has_unit_entry()
+    # 3 + x has a constant term but is not constant
+    assert not _chain([[0], [0]],
+                      [[{(0, one): 3, (0, (1, 0)): 1}]]).has_unit_entry()
+    assert _chain([[0, 1], [1]], [[{(0, (1, 0)): 1, (1, one): -2}]]) \
+        .has_unit_entry()
 
 
 def test_free_module_resolution_has_length_zero():
