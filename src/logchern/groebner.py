@@ -13,13 +13,13 @@ bits, each with a guard bit on top.  A monomial shift is one int add, a
 quotient one subtract, and a divisibility test one masked subtract,
 ``((t | guard) - s) & guard == guard``; the lcm of two leading terms takes
 the larger field wherever that test's guard bit survives.  The entries
-that take dicts (`buchberger`, `normal_form_raw`, and `kernel_raw`
-through `buchberger`) pack them once, through the order; `interreduce`
-and `schreyer_syzygies` take `BasisElem`s, which hold packed terms only
-and decode their public views on demand.  Every dict the engine returns
-is unpacked once.  A tracked reduction keys its syzygy terms
-``(idx << shift) + u`` in the same layout, with the basis index as the
-position.
+that take dicts (`buchberger`, `normal_form_raw`, `basis_syzygies`, and
+`kernel_raw` through `buchberger`) pack them once, through the order;
+`interreduce` and `schreyer_syzygies` take `BasisElem`s, which hold packed
+terms only and decode their public views on demand.  Every dict the
+engine returns is unpacked once.  A tracked reduction keys its syzygy
+terms ``(idx << shift) + u`` in the same layout, with the basis index as
+the position.
 
 Overflow contract: an exponent must stay below ``orders.EXP_LIMIT``
 (``2**15``).  `pack` rejects a larger input exponent, and every term the
@@ -55,7 +55,14 @@ FIELD_MASK = (1 << FIELD_BITS) - 1
 
 
 class EngineStats:
-    """Counters accumulated across engine calls."""
+    """Counters accumulated across engine calls.
+
+    ``s_pairs`` counts S-pairs reduced, in `buchberger` and in the syzygy
+    pair loop; ``zero_reductions`` those that reduced to zero;
+    ``basis_elements`` the elements `buchberger` added to a basis; and
+    ``max_degree`` the largest monomial degree of an S-pair lcm that
+    `buchberger` reduced (the lcm, not the terms of the S-polynomial).
+    """
 
     __slots__ = ("s_pairs", "zero_reductions", "basis_elements", "max_degree")
 
@@ -407,14 +414,14 @@ def buchberger(gens, order):
         if r:
             add_element(r)
     while heap:
-        _, _, i, j = heapq.heappop(heap)
+        deg, _, i, j = heapq.heappop(heap)
         L = alive.pop((i, j), None)
         if L is None:
             continue
         s, _ = spair(G[i], G[j])
         local.s_pairs += 1
-        if s:
-            local.max_degree = max(local.max_degree, max(map(degree, s)))
+        if deg > local.max_degree:
+            local.max_degree = deg
         r, _ = reduce_full(s, by_pos, order)
         if r:
             add_element(r)
@@ -469,6 +476,28 @@ def schreyer_sort(gb):
     return sorted(gb, key=lambda g: (g.lpos, tuple(-e for e in g.lexps)))
 
 
+def _pair_syzygies(gb, order, pairs):
+    """One tracked S-pair reduction per pair ``(i, j)`` of ``gb``.
+
+    Returns the syzygies as packed dicts over the index space of ``gb``, in
+    the order of ``pairs``; every S-pair must reduce to zero.
+    """
+    local = EngineStats()
+    by_pos = _bucket(gb)
+    syzygies = []
+    for i, j in pairs:
+        s, rep = spair(gb[i], gb[j], track_indices=(i, j))
+        local.s_pairs += 1
+        r, _ = reduce_full(s, by_pos, order, track=rep)
+        if r:
+            raise EngineError("syzygy step fed a non-Groebner basis")
+        local.zero_reductions += 1
+        if rep:
+            syzygies.append(rep)
+    _publish(local)
+    return syzygies
+
+
 def schreyer_syzygies(gb, order):
     """Syzygies of a Groebner basis via S-pair reductions.
 
@@ -476,29 +505,82 @@ def schreyer_syzygies(gb, order):
     the index space of ``gb``, interreduced into the reduced Groebner basis
     of the syzygy module with respect to the returned Schreyer order
     (Schreyer's theorem).  All same-position pairs are reduced; no pair
-    criteria are applied here.
+    criteria are applied here, since a pair the chain criterion drops can
+    carry a leading term of that basis.
     """
-    local = EngineStats()
     sorder = SchreyerOrder(order, [g.lead for g in gb])
-    by_pos = _bucket(gb)
-    syzygies = []
     n = len(gb)
-    for i in range(n):
-        gi = gb[i]
-        for j in range(i + 1, n):
-            gj = gb[j]
-            if gi.lpos != gj.lpos:
-                continue
-            s, rep = spair(gi, gj, track_indices=(i, j))
-            local.s_pairs += 1
-            r, _ = reduce_full(s, by_pos, order, track=rep)
-            if r:
-                raise EngineError("syzygy step fed a non-Groebner basis")
-            local.zero_reductions += 1
-            if rep:
-                syzygies.append(BasisElem(rep, sorder))
-    _publish(local)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if gb[i].lpos == gb[j].lpos]
+    syzygies = [BasisElem(rep, sorder)
+                for rep in _pair_syzygies(gb, order, pairs)]
     return interreduce(syzygies, sorder), sorder
+
+
+def basis_syzygies(basis, arity, twists=None):
+    """Relations among the elements of a POT Groebner basis.
+
+    ``basis`` holds ``(pos, exps)`` term->int dicts, a Groebner basis in
+    ``POTOrder(arity)`` with positive leading coefficients (a reduced basis
+    from `kernel_raw` is one; `BasisElem` would negate an element with a
+    negative one, and its relations with it).  Each same-position pair
+    that survives the strict chain criterion is reduced once, with its
+    quotients tracked; by Schreyer's theorem these syzygies generate all
+    relations, since a pair (i, j) is dropped only for a k whose leading
+    term divides lcm(i, j) while lcm(i, k) and lcm(j, k) are proper
+    divisors of it.  They are returned as ``(index, exps)`` dicts, not
+    interreduced, ordered by ascending degree: the lcm's degree plus the
+    twist of its position in ``twists`` (0 when absent), pair order within
+    one degree.
+    """
+    order = POTOrder(arity)
+    pack = order.pack
+    gb = [BasisElem({pack(t): c for t, c in d.items()}, order)
+          for d in basis]
+    guard = order.guard
+    shift = order.shift
+    degree = order.degree
+    pairs = []
+    for members in _bucket(gb).values():
+        lcms = {(i, j): _lcm(g.lead, h.lead, guard)
+                for a, (i, g) in enumerate(members)
+                for j, h in members[a + 1:]}
+        for (i, j), L in lcms.items():
+            Lg = L | guard
+            if not any(k != i and k != j and (Lg - gk.lead) & guard == guard
+                       and lcms[min(i, k), max(i, k)] != L
+                       and lcms[min(j, k), max(j, k)] != L
+                       for k, gk in members):
+                tw = twists[L >> shift] if twists is not None else 0
+                pairs.append((degree(L) + tw, i, j))
+    pairs.sort()
+    unpack = order.unpack
+    return [{unpack(t): c for t, c in rep.items()}
+            for rep in _pair_syzygies(gb, order, [p[1:] for p in pairs])]
+
+
+def in_kernel(vectors, columns, arity):
+    """True when every vector v lies in the kernel of e_j -> columns[j]:
+    sum_j v_j * columns[j] == 0 in integers.
+
+    Vectors and columns are ``(pos, exps)`` term->int dicts, the vectors'
+    positions indexing ``columns``.  Terms multiply as packed int sums:
+    each field of a product holds a sum of two exponents below
+    ``EXP_LIMIT``, which fits the field with its guard bit, so no product
+    carries into a neighbour and distinct products stay distinct.
+    """
+    pack = POTOrder(arity).pack
+    packed = [[(pack(t), a) for t, a in col.items()] for col in columns]
+    for v in vectors:
+        image = {}
+        for (j, exps), c in v.items():
+            m = pack((0, exps))
+            for t, a in packed[j]:
+                k = t + m
+                image[k] = image.get(k, 0) + a * c
+        if any(image.values()):
+            return False
+    return True
 
 
 def kernel_raw(columns, target_rank, arity):

@@ -8,10 +8,23 @@ degree d = n):
   derivation chi has degree 1;
 * a logarithmic 1-form omega is graded so that f*omega is homogeneous of
   degree d + deg(omega); df/f has degree 0;
-* D_0 is the syzygy module of the partials of f, the kernel of the Euler
-  contraction on derivations, and D = S*chi + D_0;
+* D_0 is the kernel of the Euler contraction on derivations, the theta
+  with theta(f) = 0, and D = S*chi + D_0;
 * Omega^1_0 is the kernel of the Euler contraction <chi, -> on Omega^1,
   and Omega^1 = S*(df/f) + Omega^1_0.
+
+Derivations come from linear conditions, not from syzygies of the
+partials of f: by Saito, D(A) is the intersection of the D(H), so theta
+is logarithmic iff theta(alpha_H) = alpha_H h_H for polynomials h_H, one
+per hyperplane.  D(A) is the projection to the theta part of the kernel of
+
+    (g_1..g_l, h_H) -> (sum_i a_{H,i} g_i - alpha_H h_H)_H,
+
+a map whose entries are constants and the linear forms alpha_H.  Since
+theta(f)/f = sum_H h_H, one more row, sum_H h_H, cuts out D_0.  In POT
+order the kernel's reduced Groebner basis projects to the reduced basis of
+the derivation module, which is then presented by its own S-pair
+syzygies (`presentation_of_basis`), with no second elimination.
 
 The contraction <theta, omega> has degree -1 in this grading, and Saito's
 duality Omega^1 = Hom_S(D, S) reads
@@ -21,19 +34,20 @@ duality Omega^1 = Hom_S(D, S) reads
 So Omega^1_0 is built as the dual of D_0 (one ``module_dual`` per
 arrangement) and Omega^1 as the direct sum with S*(df/f), just as D is
 built from D_0; the form modules are presented in the dual basis, by the
-values of a form on the generators of D_0.  In an affine chart D is read
-off the kernel of (df, f) and Omega^1 = D^*.
+values of a form on the generators of D_0.  In an affine chart D is the
+same kernel without the row sum_H h_H (the alpha_H affine), and
+Omega^1 = D^*.
 """
 
 from itertools import combinations, product
 
 from .arrangements import Arrangement, build_lattice, localize
 from .errors import EngineError, HypothesisError, InputError
-from .groebner import kernel_raw
+from .groebner import in_kernel, kernel_raw
 from .modules import (DEGREE_CAP, GradedFreeModule, GradedModulePresentation,
                       ext1_against_ring, finite_length, from_engine,
                       hilbert_polynomial, krull_dim, module_dual,
-                      presentation_of_submodule, to_engine_scaled)
+                      presentation_of_basis)
 from .rings import MultiPoly, poly_product
 
 
@@ -91,22 +105,28 @@ def defining_data(arr):
 class LogModule:
     """One of D, D_0, Omega^1, Omega^1_0 as a concrete presented module.
 
-    For the derivation modules ``generators`` are the integer coefficient
-    vectors of the generators in ``ambient`` = S^l, for the Saito
-    determinant and the annihilation check.  The form modules come from
-    duality and carry only their presentation (``ambient`` None, no
-    generators).
+    For the derivation modules ``vectors`` are the integer term dicts of
+    the generators' coefficient vectors in ``ambient`` = S^l, in the order
+    of the presentation's generators; ``generators`` reads them as
+    `FreeModuleElement`s, converting on each access (the Saito
+    determinant check is the library's one reader).  The form modules come
+    from duality and carry only their presentation (``ambient`` None, no
+    vectors).
     """
 
-    __slots__ = ("kind", "presentation", "defining", "ambient", "generators")
+    __slots__ = ("kind", "presentation", "defining", "ambient", "vectors")
 
     def __init__(self, kind, presentation, defining, ambient=None,
-                 generators=()):
+                 vectors=()):
         self.kind = kind
         self.presentation = presentation
         self.defining = defining
         self.ambient = ambient
-        self.generators = tuple(generators)
+        self.vectors = tuple(vectors)
+
+    @property
+    def generators(self):
+        return tuple(from_engine(v, self.ambient) for v in self.vectors)
 
     @property
     def graded(self):
@@ -140,32 +160,58 @@ def _free_summand_plus(twist, pres):
                  for r in pres.relations])
 
 
-def _kernel_of_polys(polys, arity):
-    """Integer term dicts generating the kernel of e_j -> polys[j] in S."""
-    S1 = GradedFreeModule(arity, rank=1)
-    return kernel_raw(to_engine_scaled([S1.element([p]) for p in polys]), 1,
-                      arity)
+def _linear_columns(arr):
+    """Columns of the linear map of derivations, one per g_i and then one
+    per h_H, as integer term dicts over the rows: row H is
+    sum_i a_{H,i} g_i - alpha_H h_H, and a central arrangement adds the
+    row sum_H h_H last.  Returns ``(columns, row count)``."""
+    l, n = arr.dim, arr.n
+    zero = (0,) * l
+    units = [tuple(int(i == k) for i in range(l)) for k in range(l)]
+    cols = [{(H, zero): a[i] for H, a in enumerate(arr.normals) if a[i]}
+            for i in range(l)]
+    for H, a in enumerate(arr.normals):
+        col = {(H, units[k]): -c for k, c in enumerate(a) if c}
+        if arr.is_central:
+            col[(n, zero)] = 1
+        elif arr.constants[H]:
+            col[(H, zero)] = arr.constants[H]
+        cols.append(col)
+    return cols, n + arr.is_central
+
+
+def _derivation_basis(arr):
+    """The reduced POT Groebner basis of D_0 (central) or of a chart's D
+    (affine): the theta parts of the kernel of the linear map, as integer
+    term dicts over S^l."""
+    columns, rows = _linear_columns(arr)
+    kernel = kernel_raw(columns, rows, arr.dim)
+    # M v = 0 in integers: theta(alpha_H) = alpha_H h_H for each H and,
+    # centrally, sum_H h_H = 0
+    if not in_kernel(kernel, columns, arr.dim):
+        raise EngineError("alleged syzygy does not annihilate f")
+    return [{t: c for t, c in k.items() if t[0] < arr.dim} for k in kernel]
 
 
 def derivation_module_d0(dd):
-    """D_0 = syzygies of the partials: theta(f) = 0.
+    """D_0, the theta with theta(f) = 0, from linear conditions: theta
+    satisfies theta(alpha_H) = alpha_H h_H for every hyperplane H and
+    sum_H h_H = 0 (see the module docstring).
 
-    Generators are coefficient vectors in S^l graded by coefficient degree.
+    Generators are the reduced POT Groebner basis of D_0, coefficient
+    vectors in S^l graded by coefficient degree, presented by their
+    chain-criterion S-pair syzygies.
     """
     if not dd.graded:
         raise InputError("D_0 is computed for central arrangements")
     arity = dd.arity
-    kernel = _kernel_of_polys(dd.partials, arity)
+    basis = _derivation_basis(dd.arrangement)
     ambient = GradedFreeModule(arity, [0] * arity)
-    if not kernel:
+    if not basis:
         pres = GradedModulePresentation.zero(arity)
         return LogModule("D0", pres, dd, ambient)
-    gens = [from_engine(k, ambient) for k in kernel]
-    for g in gens:
-        if not g.dot(dd.partials).is_zero():
-            raise EngineError("alleged syzygy does not annihilate f")
-    pres = presentation_of_submodule(kernel, ambient)
-    return LogModule("D0", pres, dd, ambient, gens)
+    return LogModule("D0", presentation_of_basis(basis, ambient), dd,
+                     ambient, basis)
 
 
 def log_derivations(dd, d0=None):
@@ -173,9 +219,10 @@ def log_derivations(dd, d0=None):
     if not dd.graded:
         raise InputError("D is computed for central arrangements")
     d0 = d0 or derivation_module_d0(dd)
-    chi = d0.ambient.element(dd.euler_coefficients())
+    zero = (0,) * dd.arity
+    chi = {(i, zero[:i] + (1,) + zero[i + 1:]): 1 for i in range(dd.arity)}
     pres = _free_summand_plus(1, d0.presentation)
-    return LogModule("D", pres, dd, d0.ambient, (chi,) + d0.generators)
+    return LogModule("D", pres, dd, d0.ambient, (chi,) + d0.vectors)
 
 
 def relative_log_forms(dd, d0=None):
@@ -302,7 +349,7 @@ def freeness_test(lm):
     saito = False
     if is_free and lm.kind == "D0" and lm.defining.arrangement.is_central:
         dd = lm.defining
-        if lm.generators:
+        if lm.vectors:
             saito = saito_basis_search(dd, lm, exponents)
         else:
             saito = dd.arity == 1  # D_0 = 0, chi alone spans D
@@ -376,17 +423,18 @@ def nonfree_locus(lm, per_flat=False, chart=None, degree_cap=DEGREE_CAP,
 def affine_n_value(arr, degree_cap=DEGREE_CAP):
     """N of an affine arrangement: length of Ext^1(Omega^1, S) in the chart.
 
-    D is the module of theta with theta(f) in (f), the first l components
-    of the kernel of (f_1, ..., f_l, f), and Omega^1 = D^*.
+    D is the module of theta with theta(alpha_H) in (alpha_H) for every
+    affine form alpha_H, the theta part of the kernel of the linear map of
+    the module docstring (no row sum_H h_H), presented by its S-pair
+    syzygies; Omega^1 = D^*.
     """
     if arr.is_central:
         raise InputError("affine_n_value expects an affine arrangement")
-    dd = defining_data(arr)
-    arity = dd.arity
-    kernel = _kernel_of_polys(dd.partials + (dd.f,), arity)
-    d = presentation_of_submodule(
-        [{t: c for t, c in k.items() if t[0] < arity} for k in kernel],
-        GradedFreeModule(arity, rank=arity))
+    if arr.n < 1:
+        raise InputError("defining polynomial needs at least one hyperplane")
+    arity = arr.dim
+    d = presentation_of_basis(_derivation_basis(arr),
+                              GradedFreeModule(arity, rank=arity))
     ext1 = ext1_against_ring(module_dual(d))
     if krull_dim(ext1) > 0:
         raise HypothesisError("affine non-free locus is not zero-dimensional")

@@ -5,12 +5,14 @@ Ext^1 against the ring.
 A module is presented as the cokernel of a map between graded free modules.
 A presentation holds its relations as the engine's integer term dicts
 ``{(pos, exps): int}``, and submodule presentations, duals and Ext^1
-compute kernels on those dicts.  A resolution map is such dicts over one
-positive integer divisor, minimalized fraction-free, so it enters the
-engine as it is.  `FreeModuleElement` vectors over Q remain the element
-type of the public `groebner_basis`, `normal_form`, `syzygies` and
-`kernel_generators`; `to_engine` and `from_engine` convert at that
-boundary, and `ResolutionData.dump` renders through `from_engine`.
+compute kernels on those dicts; a submodule whose generators are already a
+reduced POT Groebner basis is related by their S-pair syzygies instead.
+A resolution map is such dicts over one positive integer divisor,
+minimalized fraction-free, so it enters the engine as it is.
+`FreeModuleElement` vectors over Q remain the element type of the public
+`groebner_basis`, `normal_form`, `syzygies` and `kernel_generators`;
+`to_engine` and `from_engine` convert at that boundary, and
+`ResolutionData.dump` renders through `from_engine`.
 
 The same machinery runs in an ungraded mode (twists absent) for
 computations in affine charts, where minimality of resolutions is not
@@ -410,16 +412,9 @@ class ResolutionData:
         return len(self.maps)
 
     def compose_is_zero(self):
-        for lower, upper in zip(self.maps, self.maps[1:]):
-            for col in upper:
-                acc = {}
-                for (i, e), a in col.items():
-                    for (pos, f), b in lower[i].items():
-                        t = (pos, tuple(map(add, e, f)))
-                        acc[t] = acc.get(t, 0) + a * b
-                if any(acc.values()):
-                    return False
-        return True
+        arity = self.terms[0].arity
+        return all(eng.in_kernel(upper, lower, arity)
+                   for lower, upper in zip(self.maps, self.maps[1:]))
 
     def has_unit_entry(self):
         return any(_constant_rows(col) for cols in self.maps for col in cols)
@@ -688,23 +683,48 @@ def finite_length(pres, degree_cap=DEGREE_CAP):
 
 # ----- duals and Ext -----
 
+def _submodule_target(gens, ambient):
+    """The free module with one generator per dict of ``gens``, graded by
+    their degrees in ``ambient``."""
+    twists = ([_degree(g, ambient.twists) for g in gens] if ambient.graded
+              else None)
+    return GradedFreeModule(ambient.arity, twists, len(gens))
+
+
 def presentation_of_submodule(gens, ambient):
     """Presentation of the submodule of the free module ``ambient``
     generated by the integer term dicts ``gens``: one generator per
-    nonzero dict, related by the kernel of the map they span."""
+    nonzero dict, related by the kernel of the map they span, found by POT
+    elimination.
+
+    The submodules the library presents itself (D_0 and a chart's D, both
+    cut out by linear conditions on derivations, and the kernel
+    `module_dual` presents) come as reduced POT Groebner bases and go
+    through `presentation_of_basis` instead, which needs no elimination.
+    """
     gens = [g for g in gens if g]
     if not gens:
         raise InputError("cannot present a submodule from zero generators")
-    twists = ([_degree(g, ambient.twists) for g in gens] if ambient.graded
-              else None)
     return GradedModulePresentation(
-        GradedFreeModule(ambient.arity, twists, len(gens)),
+        _submodule_target(gens, ambient),
         eng.kernel_raw(gens, ambient.rank, ambient.arity))
 
 
+def presentation_of_basis(basis, ambient):
+    """Presentation of the submodule of ``ambient`` whose generators
+    ``basis`` are a reduced POT Groebner basis, as `kernel_raw` returns
+    one: related by the chain-criterion S-pair syzygies of
+    `groebner.basis_syzygies`, by ascending degree and not interreduced.
+    Any generating set of the relations gives the same ``relation_gb``."""
+    return GradedModulePresentation(
+        _submodule_target(basis, ambient),
+        eng.basis_syzygies(basis, ambient.arity, ambient.twists))
+
+
 def module_dual(pres):
-    """Hom_S(M, S): kernel of the transposed presentation map, presented
-    through its own syzygies."""
+    """Hom_S(M, S): the kernel of the transposed presentation map, a
+    reduced POT Groebner basis in F_0^*, presented by its own S-pair
+    syzygies."""
     F0 = pres.target
     if not pres.relations:
         return GradedModulePresentation(F0.dual(), [])
@@ -712,7 +732,7 @@ def module_dual(pres):
                             len(pres.relations), F0.arity)
     if not kernel:
         return GradedModulePresentation.zero(pres.arity, graded=F0.graded)
-    return presentation_of_submodule(kernel, F0.dual())
+    return presentation_of_basis(kernel, F0.dual())
 
 
 def ext1_against_ring(pres):

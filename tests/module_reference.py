@@ -1,5 +1,5 @@
 """Reference route for kernels, submodule presentations, duals, minimal
-resolutions and Ext^1.
+resolutions and Ext^1, and for the logarithmic derivation modules.
 
 The library computes these on the engine's integer term dicts and enters
 each map into the engine once, with one common denominator cleared.  This
@@ -12,16 +12,26 @@ entries, with the basis changes mirrored on the neighbouring maps; they
 start from the library's non-minimal Schreyer resolution, read with
 `from_engine`.  Presentations are handed to the library class as integer
 term dicts (`to_engine`), and read back with `from_engine`.
+
+The library cuts D_0 and a chart's D out by linear conditions, one per
+hyperplane.  `derivation_module_d0` and `affine_n_value` below keep the
+earlier route through the partials of f: D_0 is the syzygy module of
+(f_1, ..., f_l), a chart's D the theta part of the kernel of
+(f_1, ..., f_l, f), each presented by POT elimination.
 """
 
 from fractions import Fraction
 from math import gcd
 
 from logchern import groebner as eng
-from logchern.errors import EngineError, InputError
-from logchern.modules import (FreeModuleElement, GradedFreeModule,
-                              GradedModulePresentation, free_resolution,
-                              from_engine, to_engine)
+from logchern import modules
+from logchern.errors import EngineError, HypothesisError, InputError
+from logchern.log_geometry import defining_data
+from logchern.modules import (DEGREE_CAP, FreeModuleElement,
+                              GradedFreeModule, GradedModulePresentation,
+                              ext1_against_ring, finite_length,
+                              free_resolution, from_engine, krull_dim,
+                              to_engine)
 from logchern.orders import TOPOrder
 
 
@@ -287,3 +297,40 @@ def ext1_against_ring(pres):
         target = GradedFreeModule(pres.arity, rank=m)
     return _presentation(target, [FreeModuleElement(target, s.components[:m])
                                   for s in syz])
+
+
+# ----- logarithmic derivations through the partials of f -----
+
+def _kernel_of_polys(polys, arity):
+    """Integer term dicts generating the kernel of e_j -> polys[j] in S."""
+    S1 = GradedFreeModule(arity, rank=1)
+    return eng.kernel_raw(
+        modules.to_engine_scaled([S1.element([p]) for p in polys]), 1,
+        arity)
+
+
+def derivation_module_d0(dd):
+    """``(basis, presentation)`` of D_0 as the syzygies of the partials:
+    the reduced POT basis as integer term dicts, presented by POT
+    elimination (`modules.presentation_of_submodule`)."""
+    basis = _kernel_of_polys(dd.partials, dd.arity)
+    ambient = GradedFreeModule(dd.arity, [0] * dd.arity)
+    if not basis:
+        return basis, GradedModulePresentation.zero(dd.arity)
+    return basis, modules.presentation_of_submodule(basis, ambient)
+
+
+def affine_n_value(arr, degree_cap=DEGREE_CAP):
+    """N of an affine arrangement with D = ker(df, f): the theta part of
+    the kernel of (f_1, ..., f_l, f), presented by POT elimination and
+    dualized by the element route above."""
+    dd = defining_data(arr)
+    arity = dd.arity
+    kernel = _kernel_of_polys(dd.partials + (dd.f,), arity)
+    d = modules.presentation_of_submodule(
+        [{t: c for t, c in k.items() if t[0] < arity} for k in kernel],
+        GradedFreeModule(arity, rank=arity))
+    ext1 = ext1_against_ring(module_dual(d))
+    if krull_dim(ext1) > 0:
+        raise HypothesisError("affine non-free locus is not zero-dimensional")
+    return finite_length(ext1, degree_cap=degree_cap)

@@ -22,7 +22,7 @@ from logchern import (EngineError, GradedFreeModule,
                       LogModule, MultiPoly, defining_data,
                       ext1_against_ring, finite_length, groebner_basis,
                       hilbert_function, krull_dim, normal_form)
-from logchern.modules import DEGREE_CAP
+from logchern.modules import DEGREE_CAP, to_engine
 from tests.module_reference import (kernel_generators,
                                     presentation_of_submodule)
 
@@ -76,7 +76,7 @@ def log_forms(dd):
     if not gens:
         raise EngineError("Omega^1 computation produced no generators")
     pres = presentation_of_submodule(gens)
-    lm = LogModule("Omega1", pres, dd, ambient, gens)
+    lm = LogModule("Omega1", pres, dd, ambient, [to_engine(g) for g in gens])
     if graded:
         df = ambient.element(list(dd.partials))
         gb = groebner_basis(list(gens))
@@ -106,17 +106,18 @@ def relative_log_forms(lm, check_split=True):
         raise InputError("Omega^1_0 is defined for central arrangements")
     dd = lm.defining
     arity = dd.arity
-    values = [euler_contraction(lm, g) for g in lm.generators]
+    elems = lm.generators
+    values = [euler_contraction(lm, g) for g in elems]
     S1 = GradedFreeModule(arity, [0])
     cols = [S1.element([v]) for v in values]
     combos = kernel_generators(
-        cols, source_twists=[g.degree() for g in lm.generators])
+        cols, source_twists=[g.degree() for g in elems])
     gens = []
     for s in combos:
         acc = lm.ambient.zero_element()
         for i, c in enumerate(s.components):
             if not c.is_zero():
-                acc = acc + lm.generators[i].poly_mul(c)
+                acc = acc + elems[i].poly_mul(c)
         if not acc.is_zero():
             gens.append(acc)
     if not gens:
@@ -127,7 +128,8 @@ def relative_log_forms(lm, check_split=True):
             if not euler_contraction(lm, g).is_zero():
                 raise EngineError("Omega^1_0 generator fails <chi, -> = 0")
         pres = presentation_of_submodule(gens)
-        out = LogModule("Omega1_0", pres, dd, lm.ambient, gens)
+        out = LogModule("Omega1_0", pres, dd, lm.ambient,
+                        [to_engine(g) for g in gens])
     if check_split:
         for k in range(0, 5):
             lhs = hilbert_function(lm.presentation, k)
