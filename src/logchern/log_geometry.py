@@ -39,8 +39,6 @@ same kernel without the row sum_H h_H (the alpha_H affine), and
 Omega^1 = D^*.
 """
 
-from itertools import combinations, product
-
 from .arrangements import Arrangement, build_lattice, localize
 from .errors import EngineError, HypothesisError, InputError
 from .groebner import in_kernel, kernel_raw
@@ -107,11 +105,11 @@ class LogModule:
 
     For the derivation modules ``vectors`` are the integer term dicts of
     the generators' coefficient vectors in ``ambient`` = S^l, in the order
-    of the presentation's generators; ``generators`` reads them as
-    `FreeModuleElement`s, converting on each access (the Saito
-    determinant check is the library's one reader).  The form modules come
-    from duality and carry only their presentation (``ambient`` None, no
-    vectors).
+    of the presentation's generators.  ``generators`` reads them as
+    `FreeModuleElement`s, converting on each access; it is public API with
+    no reader in the library, which converts only the rows of the Saito
+    determinant.  The form modules come from duality and carry only their
+    presentation (``ambient`` None, no vectors).
     """
 
     __slots__ = ("kind", "presentation", "defining", "ambient", "vectors")
@@ -290,72 +288,36 @@ def _det(rows):
     return out
 
 
-def _saito_check(dd, derivation_rows):
-    """det of the coefficient matrix equals a nonzero scalar times f."""
-    det = _det([list(r.components) for r in derivation_rows])
-    if det.is_zero():
-        return False
-    if det.total_degree() != dd.degree:
-        return False
+def _saito_check(dd, rows):
+    """Saito's criterion: det of the coefficient rows is c*f, c != 0."""
     try:
-        q = det.divide_exact(dd.f)
+        q = _det(rows).divide_exact(dd.f)
     except InputError:
         return False
-    return not q.is_zero() and set(q.terms) == {(0,) * dd.arity}
-
-
-def saito_basis_search(dd, d0, exponents, cap=500):
-    """Search D_0 generators for a basis certifying Saito's criterion.
-
-    ``exponents`` is the degree multiset of a free D_0 (without the Euler
-    exponent).  Returns True if some choice of generators with those
-    degrees, together with the Euler derivation, has determinant c*f.
-    """
-    by_degree = {}
-    for g in d0.generators:
-        by_degree.setdefault(g.degree(), []).append(g)
-    need = {}
-    for e in exponents:
-        need[e] = need.get(e, 0) + 1
-    pools = []
-    for e, count in sorted(need.items()):
-        have = by_degree.get(e, [])
-        if len(have) < count:
-            return False
-        pools.append(list(combinations(have, count)))
-    chi = d0.ambient.element(dd.euler_coefficients())
-    tried = 0
-    for choice in product(*pools):
-        rows = [chi]
-        for group in choice:
-            rows.extend(group)
-        tried += 1
-        if tried > cap:
-            raise EngineError("Saito basis search exceeded its cap")
-        if _saito_check(dd, rows):
-            return True
-    return False
+    return set(q.terms) == {(0,) * dd.arity}
 
 
 def freeness_test(lm):
-    """pdim from the minimal resolution; exponents and a Saito determinant
-    check in the free case."""
+    """pdim and, when free, the exponents, from the minimal resolution.
+
+    A free D_0 is certified by Saito's criterion on chi and the generators
+    its minimal resolution keeps, which with chi form a basis of D; for
+    l = 1, D_0 = 0 and chi alone has determinant f.
+    """
     if not lm.graded:
         raise InputError("freeness is tested on graded (central) modules")
     res = lm.minimal_resolution()
-    pdim = res.length
-    is_free = pdim == 0
+    is_free = res.length == 0
     exponents = sorted(res.terms[0].twists) if is_free else None
-    saito = False
-    if is_free and lm.kind == "D0" and lm.defining.arrangement.is_central:
+    saito = is_free and lm.kind == "D0"
+    if saito:
         dd = lm.defining
-        if lm.vectors:
-            saito = saito_basis_search(dd, lm, exponents)
-        else:
-            saito = dd.arity == 1  # D_0 = 0, chi alone spans D
-        if not saito and dd.arity > 1:
+        rows = [dd.euler_coefficients()] + [
+            from_engine(lm.vectors[i], lm.ambient).components
+            for i in res.kept]
+        if not _saito_check(dd, rows):
             raise EngineError("free D_0 failed the Saito determinant check")
-    return FreenessReport(lm.kind, is_free, exponents, pdim,
+    return FreenessReport(lm.kind, is_free, exponents, res.length,
                           saito_checked=saito)
 
 

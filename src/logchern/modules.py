@@ -397,15 +397,20 @@ class ResolutionData:
     the gcd of the dicts' content and the divisor is 1.  Consecutive maps
     compose to zero and the image of maps[k] equals the kernel of
     maps[k-1] by construction (iterated syzygies).
+
+    ``kept`` lists the generators of the presented module that F_0 keeps,
+    as indices into the presentation's target: all of them unless
+    minimalization dropped some.
     """
 
-    __slots__ = ("terms", "maps", "divisors", "minimal")
+    __slots__ = ("terms", "maps", "divisors", "minimal", "kept")
 
-    def __init__(self, terms, maps, divisors, minimal):
+    def __init__(self, terms, maps, divisors, minimal, kept=None):
         self.terms = list(terms)
         self.maps = [list(cols) for cols in maps]
         self.divisors = list(divisors)
         self.minimal = minimal
+        self.kept = list(range(self.terms[0].rank) if kept is None else kept)
 
     @property
     def length(self):
@@ -528,12 +533,14 @@ def minimalize_resolution(res):
     ``u``; then row r and column c of B, row c of the next map and column r
     of the previous one are deleted.  The matching basis changes would
     touch only that row and that column of the neighbours, so they are
-    not made.
+    not made.  A pivot in the first map drops generator r of the module:
+    column c writes it in terms of the others, so ``kept`` loses it.
     """
     zero = (0,) * res.terms[0].arity
     twists = [list(F.twists) for F in res.terms]
     maps = [list(cols) for cols in res.maps]
     divisors = list(res.divisors)
+    kept = list(res.kept)
     while (pivot := _first_unit(maps)) is not None:
         k, r, c = pivot
         col_c = maps[k][c]
@@ -556,6 +563,8 @@ def minimalize_resolution(res):
             maps[k + 1] = [_drop_row(col, c) for col in maps[k + 1]]
         if k > 0:
             del maps[k - 1][r]
+        else:
+            del kept[r]
         del twists[k][r]
         del twists[k + 1][c]
         for i in range(max(k - 1, 0), min(k + 2, len(maps))):
@@ -568,7 +577,7 @@ def minimalize_resolution(res):
     if any(not tw for tw in twists[1:-1]):
         raise EngineError("intermediate zero term after minimalization")
     terms = [GradedFreeModule(res.terms[0].arity, tw) for tw in twists]
-    return ResolutionData(terms, maps, divisors, minimal=True)
+    return ResolutionData(terms, maps, divisors, minimal=True, kept=kept)
 
 
 # ----- Hilbert data -----
