@@ -274,18 +274,25 @@ class FreenessReport:
 
 
 def _det(rows):
+    """Laplace expansion by the first column; each minor, on rows ``live``
+    and the last len(live) columns, is computed once."""
     n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    arity = rows[0][0].arity
-    out = MultiPoly.zero(arity)
-    sign = 1
-    for i in range(n):
-        if not rows[i][0].is_zero():
-            minor = [r[1:] for j, r in enumerate(rows) if j != i]
-            out = out + rows[i][0] * _det(minor) * sign
-        sign = -sign
-    return out
+    minors = {}
+
+    def minor(live):
+        c = n - len(live)
+        if c == n - 1:
+            return rows[live[0]][c]
+        if live not in minors:
+            out = MultiPoly.zero(rows[0][0].arity)
+            for k, i in enumerate(live):
+                if not rows[i][c].is_zero():
+                    term = rows[i][c] * minor(live[:k] + live[k + 1:])
+                    out = out + term if k % 2 == 0 else out - term
+            minors[live] = out
+        return minors[live]
+
+    return minor(tuple(range(n)))
 
 
 def _saito_check(dd, rows):
@@ -348,9 +355,9 @@ def nonfree_locus(lm, per_flat=False, chart=None, degree_cap=DEGREE_CAP,
 
     The Hilbert polynomial of Ext^1 is constant once the support is a cone
     over finitely many projective points (cone dimension <= 1); that
-    constant is N.  With ``per_flat`` the chart-by-chart affine route of
-    the localization formula is computed (on ``lattice`` when given) and
-    compared.
+    constant is N; both read the Hilbert series of Ext^1, not a resolution.
+    With ``per_flat`` the chart-by-chart affine route of the localization
+    formula is computed (on ``lattice`` when given) and compared.
     """
     if lm.kind != "Omega1_0":
         raise InputError("the non-free locus is read off Omega^1_0")

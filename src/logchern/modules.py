@@ -2,6 +2,10 @@
 resolutions, Hilbert functions and polynomials, Krull dimension, duals and
 Ext^1 against the ring.
 
+The Hilbert function and polynomial, Krull dimension and length all read
+one Hilbert series, taken from the leading terms of the relation basis:
+one numerator per position of F_0, with no resolution.
+
 A module is presented as the cokernel of a map between graded free modules.
 A presentation holds its relations as the engine's integer term dicts
 ``{(pos, exps): int}``, and submodule presentations, duals and Ext^1
@@ -20,7 +24,7 @@ defined and is skipped.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate
 from math import comb, gcd, lcm
 from operator import add
 
@@ -363,20 +367,11 @@ class GradedModulePresentation:
         out = [[] for _ in range(self.target.rank)]
         for g in self.relation_gb()[0]:
             out[g.lpos].append(g.lexps)
-        for j in range(self.target.rank):
-            kept = []
-            for e in sorted(out[j]):
-                if not any(eng.exps_divide(k, e) for k in kept):
-                    kept.append(e)
-            out[j] = kept
-        return out
+        return [_minimal_monomials(gens) for gens in out]
 
     def is_zero_module(self):
-        if self.target.rank == 0:
-            return True
         zero = (0,) * self.arity
-        leads = self.lead_exponents()
-        return all(zero in leads[j] for j in range(self.target.rank))
+        return all(zero in gens for gens in self.lead_exponents())
 
     def minimal_resolution(self):
         if self._minres is None:
@@ -582,105 +577,101 @@ def minimalize_resolution(res):
 
 # ----- Hilbert data -----
 
-def _compositions(total, parts):
-    """Yield exponent tuples of the given total degree."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _minimal_monomials(exps):
+    """Minimal generators of the ideal of monomials ``exps``, ascending."""
+    kept = []
+    for e in sorted(exps):
+        if not any(eng.exps_divide(k, e) for k in kept):
+            kept.append(e)
+    return kept
 
 
-def _count_standard(arity, n, lead_gens):
-    if n < 0:
-        return 0
-    if any(sum(e) == 0 for e in lead_gens):
-        return 0
-    if not lead_gens:
-        return comb(n + arity - 1, arity - 1)
-    count = 0
-    for m in _compositions(n, arity):
-        if not any(eng.exps_divide(g, m) for g in lead_gens):
-            count += 1
-    return count
+def _numerator(gens):
+    """Coefficients by degree of K(t), where K(t) / (1 - t)^l is the Hilbert
+    series of S / (gens), ``gens`` minimal and ascending; [] for S / S.
+    Colon recursion (Bigatti, JPAA 1997): K(I + (m)) = K(I) -
+    t^deg(m) K(I : m), I : m generated by the lcm(g, m) / m."""
+    if not gens:
+        return [1]
+    *rest, m = gens
+    out = _numerator(rest)
+    colon = _minimal_monomials(
+        [tuple(max(a - b, 0) for a, b in zip(g, m)) for g in rest])
+    sub = out if colon == rest else _numerator(colon)
+    d = sum(m)
+    out = out + [0] * (d + len(sub) - len(out))
+    for i, c in enumerate(sub):
+        out[d + i] -= c
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def hilbert_numerators(pres):
+    """K_j(t) per position j of F_0, from the leading terms at j: the
+    Hilbert series of the module is sum_j t^(a_j) K_j(t) / (1 - t)^l."""
+    return [_numerator(gens) for gens in pres.lead_exponents()]
+
+
+def _reduced_series(num):
+    """``(r, h)`` with K(t) = (1 - t)^r h(t), h(1) != 0, for K != 0; each
+    division by 1 - t is a prefix sum whose last entry is 0."""
+    r = 0
+    while (q := list(accumulate(num)))[-1] == 0:
+        num = q[:-1]
+        r += 1
+    return r, num
+
+
+def _shifted_terms(pres):
+    """``(a_j + i, c_ji)`` for the nonzero coefficients c_ji of t^i in K_j."""
+    return [(a + i, c) for a, num in zip(pres.target.twists,
+                                         hilbert_numerators(pres))
+            for i, c in enumerate(num) if c]
 
 
 def hilbert_function(pres, degree):
-    """dim_Q of the degree-d graded piece of the presented module."""
+    """dim_Q of the degree-d graded piece of the presented module:
+    sum c_ji binom(d - a_j - i + l - 1, l - 1) over d - a_j - i >= 0."""
     if not pres.graded:
         raise InputError("Hilbert function needs a graded presentation")
-    leads = pres.lead_exponents()
-    total = 0
-    for j, a in enumerate(pres.target.twists):
-        total += _count_standard(pres.arity, degree - a, leads[j])
-    return total
+    k = pres.arity - 1
+    return sum(c * comb(degree - s + k, k)
+               for s, c in _shifted_terms(pres) if s <= degree)
 
 
 def total_dimension(pres, degree_cap=DEGREE_CAP):
-    """Q-dimension over all degrees; requires a finite staircase."""
-    leads = pres.lead_exponents()
-    arity = pres.arity
+    """Q-dimension over all degrees, twists ignored: at finite length each
+    K_j / (1 - t)^l is a polynomial, the standard monomials counted by
+    degree.  Raises NotFiniteLengthError once some position has a standard
+    monomial of degree >= ``degree_cap``, as an infinite module always
+    has."""
     total = 0
-    for j in range(pres.target.rank):
-        gens = leads[j]
-        n = 0
-        while True:
-            c = _count_standard(arity, n, gens)
-            if c == 0:
-                break
-            total += c
-            n += 1
-            if n > degree_cap:
-                raise NotFiniteLengthError(
-                    f"degree cap {degree_cap} exceeded while counting "
-                    "standard monomials")
+    for num in filter(None, hilbert_numerators(pres)):
+        r, h = _reduced_series(num)
+        if r < pres.arity or len(h) > degree_cap:
+            raise NotFiniteLengthError(
+                f"degree cap {degree_cap} exceeded while counting "
+                "standard monomials")
+        total += sum(h)
     return total
 
 
 def hilbert_polynomial(pres):
-    """Hilbert polynomial from the minimal free resolution:
-    sum_i (-1)^i sum_j binom(t - a_ij + l - 1, l - 1)."""
+    """Hilbert polynomial from the numerators:
+    sum c_ji binom(t - a_j - i + l - 1, l - 1)."""
     if not pres.graded:
         raise InputError("Hilbert polynomial needs a graded presentation")
-    res = pres.minimal_resolution()
     k = pres.arity - 1
-    out = UniPolyQ.zero()
-    sign = 1
-    for F in res.terms:
-        for a in F.twists:
-            term = binomial_poly(a, k)
-            out = out + (term if sign > 0 else -term)
-        sign = -sign
-    return out
+    return sum((binomial_poly(s, k) * c for s, c in _shifted_terms(pres)),
+               UniPolyQ.zero())
 
 
 def krull_dim(pres):
-    """Krull dimension of the module; -1 for the zero module."""
-    if pres.target.rank == 0:
-        return -1
-    leads = pres.lead_exponents()
-    arity = pres.arity
-    zero = (0,) * arity
-    best = -1
-    for j in range(pres.target.rank):
-        gens = leads[j]
-        if zero in gens:
-            continue  # this position presents the zero summand
-        supports = [frozenset(i for i, e in enumerate(g) if e) for g in gens]
-        dim_j = 0
-        for size in range(arity, -1, -1):
-            hit = False
-            for T in combinations(range(arity), size):
-                Tset = set(T)
-                if not any(s <= Tset for s in supports):
-                    dim_j = size
-                    hit = True
-                    break
-            if hit:
-                break
-        best = max(best, dim_j)
-    return best
+    """Krull dimension of the module, -1 for the zero module: l minus the
+    order of t = 1 in K_j, maximized over the nonzero K_j."""
+    return max((pres.arity - _reduced_series(num)[0]
+                for num in filter(None, hilbert_numerators(pres))), default=-1)
 
 
 def finite_length(pres, degree_cap=DEGREE_CAP):

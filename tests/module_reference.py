@@ -18,6 +18,13 @@ hyperplane.  `derivation_module_d0` and `affine_n_value` below keep the
 earlier route through the partials of f: D_0 is the syzygy module of
 (f_1, ..., f_l), a chart's D the theta part of the kernel of
 (f_1, ..., f_l, f), each presented by POT elimination.
+
+The library reads the Hilbert function and polynomial, Krull dimension and
+length off one Hilbert-series numerator per position.  The earlier routes
+stay below: standard monomials of the leading-term ideals enumerated
+degree by degree, the largest variable subset avoiding every leading
+support, and the Hilbert polynomial summed over the twists of the minimal
+free resolution.
 """
 
 from fractions import Fraction
@@ -27,12 +34,16 @@ from logchern import groebner as eng
 from logchern import modules
 from logchern.errors import EngineError, HypothesisError, InputError
 from logchern.log_geometry import defining_data
+from itertools import combinations
+from math import comb
+
+from logchern.errors import NotFiniteLengthError
 from logchern.modules import (DEGREE_CAP, FreeModuleElement,
                               GradedFreeModule, GradedModulePresentation,
-                              ext1_against_ring, finite_length,
-                              free_resolution, from_engine, krull_dim,
-                              to_engine)
+                              ext1_against_ring, free_resolution,
+                              from_engine, to_engine)
 from logchern.orders import TOPOrder
+from logchern.rings import UniPolyQ, binomial_poly
 
 
 def to_engine_scaled(elem):
@@ -334,3 +345,88 @@ def affine_n_value(arr, degree_cap=DEGREE_CAP):
     if krull_dim(ext1) > 0:
         raise HypothesisError("affine non-free locus is not zero-dimensional")
     return finite_length(ext1, degree_cap=degree_cap)
+
+
+# ----- Hilbert data from the staircase and the resolution -----
+
+def _compositions(total, parts):
+    """Yield exponent tuples of the given total degree."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _count_standard(arity, n, lead_gens):
+    """Monomials of degree n divisible by none of ``lead_gens``."""
+    if n < 0:
+        return 0
+    if any(sum(e) == 0 for e in lead_gens):
+        return 0
+    if not lead_gens:
+        return comb(n + arity - 1, arity - 1)
+    return sum(1 for m in _compositions(n, arity)
+               if not any(eng.exps_divide(g, m) for g in lead_gens))
+
+
+def hilbert_function(pres, degree):
+    """dim_Q of the degree-d piece: standard monomials per position."""
+    if not pres.graded:
+        raise InputError("Hilbert function needs a graded presentation")
+    leads = pres.lead_exponents()
+    return sum(_count_standard(pres.arity, degree - a, leads[j])
+               for j, a in enumerate(pres.target.twists))
+
+
+def total_dimension(pres, degree_cap=DEGREE_CAP):
+    """Standard monomials counted degree by degree, per position, until a
+    degree has none; past ``degree_cap`` the count stops."""
+    total = 0
+    for gens in pres.lead_exponents():
+        n = 0
+        while (c := _count_standard(pres.arity, n, gens)):
+            total += c
+            n += 1
+            if n > degree_cap:
+                raise NotFiniteLengthError(
+                    f"degree cap {degree_cap} exceeded while counting "
+                    "standard monomials")
+    return total
+
+
+def hilbert_polynomial(pres):
+    """sum_i (-1)^i sum_j binom(t - a_ij + l - 1, l - 1) over the twists
+    a_ij of the minimal free resolution."""
+    if not pres.graded:
+        raise InputError("Hilbert polynomial needs a graded presentation")
+    out = UniPolyQ.zero()
+    for i, F in enumerate(pres.minimal_resolution().terms):
+        for a in F.twists:
+            term = binomial_poly(a, pres.arity - 1)
+            out = out + (term if i % 2 == 0 else -term)
+    return out
+
+
+def krull_dim(pres):
+    """The largest number of variables whose monomials avoid the leading
+    ideal at some position; -1 for the zero module."""
+    zero = (0,) * pres.arity
+    best = -1
+    for gens in pres.lead_exponents():
+        if zero in gens:
+            continue  # this position presents the zero summand
+        supports = [frozenset(i for i, e in enumerate(g) if e) for g in gens]
+        best = max(best, next(
+            size for size in range(pres.arity, -1, -1)
+            if any(not any(s <= set(T) for s in supports)
+                   for T in combinations(range(pres.arity), size))))
+    return best
+
+
+def finite_length(pres, degree_cap=DEGREE_CAP):
+    """Total Q-dimension of a module of Krull dimension <= 0."""
+    if krull_dim(pres) > 0:
+        raise NotFiniteLengthError("module is not finite length")
+    return total_dimension(pres, degree_cap=degree_cap)

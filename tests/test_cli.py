@@ -360,3 +360,15 @@ def test_each_job_builds_every_log_module_once(command, monkeypatch):
     assert calls == {"derivation_module_d0": 1, "log_derivations": 1,
                      "relative_log_forms": 1, "log_forms": 1,
                      "module_dual": 1}
+
+
+def test_degree_cap_boundary_is_the_rich_points_staircase():
+    # the octic's rich point has Ext^1 staircase {1, y}: a standard
+    # monomial of degree 1, so cap 1 stops the count and cap 2 does not
+    report, code = run(_job("nval", "example:nonfree_octic", degree_cap=1))
+    assert (code, report["error"]["type"]) == (3, "budget")
+    assert report["error"]["message"] == (
+        "degree cap 1 exceeded while counting standard monomials")
+    report, code = run(_job("nval", "example:nonfree_octic", degree_cap=2))
+    assert code == 0
+    assert report["result"]["N"] == 3

@@ -1,0 +1,115 @@
+"""Hilbert data from the leading-term numerators against the staircase,
+subset and resolution oracles of ``tests/module_reference.py``."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from logchern import (GradedFreeModule, GradedModulePresentation,
+                      NotFiniteLengthError, build_lattice, ext1_against_ring,
+                      finite_length, hilbert_function, hilbert_polynomial,
+                      krull_dim, log_modules, module_dual)
+from logchern.cli import load_arrangement
+from logchern.log_geometry import _derivation_basis, chart_arrangement
+from logchern.modules import presentation_of_basis, total_dimension
+from tests import module_reference as ref
+from tests.test_module_reference import _exponents
+
+DEGREES = range(-3, 8)
+CAPS = (0, 1, 2, 10)  # the length counts, cut at small degrees too
+
+
+def _outcome(query, pres, cap):
+    try:
+        return query(pres, cap)
+    except NotFiniteLengthError as exc:
+        return str(exc)
+
+
+def _assert_matches_oracles(pres):
+    assert krull_dim(pres) == ref.krull_dim(pres)
+    for cap in CAPS:
+        for query, oracle in ((total_dimension, ref.total_dimension),
+                              (finite_length, ref.finite_length)):
+            assert _outcome(query, pres, cap) == _outcome(oracle, pres, cap)
+    if pres.graded:
+        assert [hilbert_function(pres, d) for d in DEGREES] == \
+            [ref.hilbert_function(pres, d) for d in DEGREES]
+        assert hilbert_polynomial(pres) == ref.hilbert_polynomial(pres)
+
+
+@st.composite
+def quotients(draw):
+    """F / (relations) over 2-4 variables: rank 1-3, up to five monomial or
+    binomial relations with coefficients in [-3, 3], and in half the draws
+    powers of every variable.  Graded: twists -1 to 2, relations of one
+    twisted degree; ungraded: any terms of degree <= 3, as in an affine
+    chart."""
+    arity = draw(st.integers(2, 4))
+    rank = draw(st.integers(1, 3))
+    graded = draw(st.booleans())
+    twists = draw(st.lists(st.integers(-1, 2), min_size=rank,
+                           max_size=rank)) if graded else None
+    rels = []
+    for _ in range(draw(st.integers(0, 5))):
+        if graded:
+            degree = draw(st.integers(min(twists), min(twists) + 3))
+            terms = [(pos, e) for pos, a in enumerate(twists) if degree >= a
+                     for e in _exponents(arity, degree - a)]
+        else:
+            terms = [(pos, e) for pos in range(rank) for d in range(4)
+                     for e in _exponents(arity, d)]
+        support = draw(st.lists(st.sampled_from(terms), min_size=1,
+                                max_size=2, unique=True))
+        coeffs = draw(st.lists(st.integers(-3, 3).filter(bool),
+                               min_size=len(support), max_size=len(support)))
+        rels.append(dict(zip(support, coeffs)))
+    if draw(st.booleans()):
+        # a power of every variable at every position: finite length
+        for pos in range(rank):
+            for i in range(arity):
+                e = draw(st.integers(1, 3))
+                rels.append({(pos, tuple(e * (k == i)
+                                         for k in range(arity))): 1})
+    return GradedModulePresentation(GradedFreeModule(arity, twists, rank),
+                                    rels)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(pres=quotients())
+def test_numerators_match_the_staircase_oracles(pres):
+    _assert_matches_oracles(pres)
+
+
+def _chart_ext1s(arr):
+    """The Ext^1 of every chart's Omega^1, whose lengths sum to N."""
+    for flat in build_lattice(arr).flats_of_codim(arr.dim - 1):
+        aff = chart_arrangement(arr, flat)
+        d = presentation_of_basis(_derivation_basis(aff),
+                                  GradedFreeModule(aff.dim, rank=aff.dim))
+        yield ext1_against_ring(module_dual(d))
+
+
+@pytest.mark.parametrize("name", [
+    "boolean_l3", "braid_triple", "generic_4_planes",
+    "generic_5_hyperplanes", "nonfree_octic", "three_lines"])
+def test_log_modules_match_the_staircase_oracles(name):
+    # D_0, D, Omega^1, Omega^1_0, their duals, the Ext^1 of each, and the
+    # charts' Ext^1
+    arr = load_arrangement(f"example:{name}")
+    _, *lms = log_modules(arr)
+    for lm in lms:
+        for pres in (lm.presentation, module_dual(lm.presentation)):
+            _assert_matches_oracles(pres)
+            _assert_matches_oracles(ext1_against_ring(pres))
+    for ext1 in _chart_ext1s(arr):
+        _assert_matches_oracles(ext1)
+
+
+def test_octic_plus1_n_route_matches_the_staircase_oracles():
+    # the modules N is read from: Ext^1 of Omega^1_0 and of 40 charts
+    arr = load_arrangement("tests/data/frontier/octic_plus1.json")
+    *_, om0 = log_modules(arr)
+    _assert_matches_oracles(ext1_against_ring(om0.presentation))
+    for ext1 in _chart_ext1s(arr):
+        _assert_matches_oracles(ext1)

@@ -1,10 +1,11 @@
 """Saito's criterion on the generators a minimal resolution keeps."""
 
 import json
+from itertools import permutations
 
 import pytest
 
-from logchern import (Arrangement, EngineError, defining_data,
+from logchern import (Arrangement, EngineError, MultiPoly, defining_data,
                       derivation_module_d0, freeness_test, groebner_basis,
                       log_geometry, normal_form)
 from logchern.cli import JobConfig, main, run
@@ -108,3 +109,24 @@ def test_a_failed_saito_determinant_is_an_engine_error(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert json.loads(out)["error"]["type"] == "engine"
     assert "Traceback" not in out + err
+
+
+def test_det_matches_the_leibniz_sum():
+    # a 4x4 matrix of linear and quadratic forms with zero entries, so
+    # some minors are shared and some expansion terms vanish
+    x, y, z = (MultiPoly.variable(3, i) for i in range(3))
+    zero = MultiPoly.zero(3)
+    rows = [[x, y, zero, z * z],
+            [zero, x + y, z, y],
+            [y * z, zero, x - z, zero],
+            [z, x * y, y, x + y + z]]
+    leibniz = zero
+    for perm in permutations(range(4)):
+        sign = (-1) ** sum(perm[i] > perm[j]
+                           for i in range(4) for j in range(i + 1, 4))
+        term = MultiPoly.constant(3, sign)
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        leibniz = leibniz + term
+    assert not leibniz.is_zero()
+    assert log_geometry._det(rows) == leibniz
