@@ -348,7 +348,7 @@ class _Ascending:
         return self.k == other.k
 
 
-def buchberger(gens, order):
+def buchberger(gens, order, from_pos=0):
     """Reduced Groebner basis of the submodule generated by ``gens``.
 
     ``gens`` are ``(pos, exps)`` term->int dicts, packed here in the
@@ -358,6 +358,11 @@ def buchberger(gens, order):
     and within one degree smallest lcm first; popping the largest lcm first
     within a degree makes coefficients grow far faster on inputs with large
     coefficients.
+
+    With ``from_pos`` only the elements leading at that position or past
+    it are minimalized, tail-reduced and returned.  In a POT order they
+    have no term before ``from_pos``, so no other element reduces them:
+    they are the reduced basis of the submodule's part there.
     """
     local = EngineStats()
     key = order.key
@@ -428,7 +433,7 @@ def buchberger(gens, order):
         else:
             local.zero_reductions += 1
     _publish(local)
-    return interreduce(G, order)
+    return interreduce([g for g in G if g.lead >> shift >= from_pos], order)
 
 
 def interreduce(G, order):
@@ -583,21 +588,31 @@ def in_kernel(vectors, columns, arity):
     return True
 
 
-def kernel_raw(columns, target_rank, arity):
-    """Generators of the kernel of e_j -> columns[j] via POT elimination.
+def kernel_raw(columns, target_rank, arity, tracked=None):
+    """The kernel of e_j -> columns[j], projected onto the first
+    ``tracked`` source coordinates, via POT elimination.
 
     ``columns`` are ``(pos, exps)`` term->int dicts over target positions
-    0..target_rank-1.  Returns such dicts over source positions
-    0..len(columns)-1.
+    0..target_rank-1.  Only the first ``tracked`` columns (default: all)
+    carry an identity position ``target_rank + j``; the rest enter as
+    plain generators.  The submodule generated is then the image of the
+    graph under the projection, and its elements that vanish on the target
+    rows are exactly the ``(0, v)`` with ``v`` the first ``tracked``
+    coordinates of a kernel vector: the untracked coordinates are never
+    read, so they need no identity.  In POT order those elements are the
+    ones whose leading position lies past the target rows, and they form
+    the reduced Groebner basis of the projected kernel.  Returns them as
+    dicts over source positions 0..tracked-1.
     """
     if not columns:
         return []
+    if tracked is None:
+        tracked = len(columns)
     zero = (0,) * arity
-    gens = [{**col, (target_rank + j, zero): 1}
+    gens = [{**col, (target_rank + j, zero): 1} if j < tracked else col
             for j, col in enumerate(columns)]
     order = POTOrder(arity)
-    gb = buchberger(gens, order)
+    gb = buchberger(gens, order, from_pos=target_rank)
     unpack = order.unpack
     off = target_rank << order.shift
-    return [{unpack(t - off): c for t, c in g.items()}
-            for g in gb if g.lpos >= target_rank]
+    return [{unpack(t - off): c for t, c in g.items()} for g in gb]

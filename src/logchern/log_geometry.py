@@ -21,10 +21,13 @@ per hyperplane.  D(A) is the projection to the theta part of the kernel of
     (g_1..g_l, h_H) -> (sum_i a_{H,i} g_i - alpha_H h_H)_H,
 
 a map whose entries are constants and the linear forms alpha_H.  Since
-theta(f)/f = sum_H h_H, one more row, sum_H h_H, cuts out D_0.  In POT
-order the kernel's reduced Groebner basis projects to the reduced basis of
-the derivation module, which is then presented by its own S-pair
-syzygies (`presentation_of_basis`), with no second elimination.
+theta(f)/f = sum_H h_H, one more row, sum_H h_H, cuts out D_0.  The POT
+elimination tracks only the l theta coordinates (the h_H columns need no
+identity position, since no caller reads them), so it returns the reduced
+basis of the derivation module itself, which is then presented by its own
+S-pair syzygies (`presentation_of_basis`), with no second elimination.
+The exact check recovers each h_H by dividing theta(alpha_H) by alpha_H
+in integers.
 
 The contraction <theta, omega> has degree -1 in this grading, and Saito's
 duality Omega^1 = Hom_S(D, S) reads
@@ -41,11 +44,12 @@ Omega^1 = D^*.
 
 from .arrangements import Arrangement, build_lattice, localize
 from .errors import EngineError, HypothesisError, InputError
-from .groebner import in_kernel, kernel_raw
+from .groebner import FIELD_MASK, kernel_raw
 from .modules import (DEGREE_CAP, GradedFreeModule, GradedModulePresentation,
                       ext1_against_ring, finite_length, from_engine,
                       hilbert_polynomial, krull_dim, module_dual,
                       presentation_of_basis)
+from .orders import FIELD_BITS
 from .rings import MultiPoly, poly_product
 
 
@@ -178,17 +182,90 @@ def _linear_columns(arr):
     return cols, n + arr.is_central
 
 
+def _divide_by_form(p, a, c):
+    """The quotient of the integer polynomial ``p`` by alpha = a.z - c, or
+    None when alpha does not divide p in integers.
+
+    Monomials are packed ints, exponent i in the ``FIELD_BITS``-wide field
+    i, as in `orders` (the quotient's exponents are below p's, and a
+    remainder term gains at most one per level it moves down, so no field
+    carries).  Synthetic division in the first variable z_k with
+    a_k != 0: the terms of p of z_k-degree e, divided by a_k, are the
+    quotient's terms of z_k-degree e - 1, and subtracting their multiples
+    of alpha changes only terms of degree e - 1; what is left in degree 0
+    is the remainder.
+    """
+    k = next(i for i, x in enumerate(a) if x)
+    ak = a[k]
+    sk = FIELD_BITS * k
+    unit_k = 1 << sk
+    rest = [(1 << FIELD_BITS * i, x) for i, x in enumerate(a)
+            if x and i != k]
+    levels = {}
+    for m, v in p.items():
+        levels.setdefault((m >> sk) & FIELD_MASK, {})[m] = v
+    q = {}
+    for e in range(max(levels, default=0), 0, -1):
+        lower = levels.setdefault(e - 1, {})
+        for m, v in levels.pop(e, {}).items():
+            if not v:
+                continue
+            qc, r = divmod(v, ak)
+            if r:
+                return None
+            m -= unit_k
+            q[m] = qc
+            for u, x in rest:
+                lower[m + u] = lower.get(m + u, 0) - qc * x
+            if c:
+                lower[m] = lower.get(m, 0) + qc * c
+    if any(levels.get(0, {}).values()):
+        return None
+    return q
+
+
+def _check_log_derivations(arr, basis):
+    """Raise `EngineError` unless every theta of ``basis`` (integer term
+    dicts over S^l) is logarithmic: alpha_H divides theta(alpha_H) in
+    integers for each H, and, centrally, the quotients h_H sum to 0, so
+    theta(f)/f = sum_H h_H = 0."""
+    consts = arr.constants or (0,) * arr.n
+    shifts = [FIELD_BITS * i for i in range(arr.dim)]
+    for j, theta in enumerate(basis):
+        comps = [[] for _ in shifts]
+        for (i, exps), v in theta.items():
+            comps[i].append((sum(e << s for e, s in zip(exps, shifts)), v))
+        total = {}
+        for H, (a, c) in enumerate(zip(arr.normals, consts)):
+            image = {}
+            for i, x in enumerate(a):
+                if x:
+                    for m, v in comps[i]:
+                        image[m] = image.get(m, 0) + x * v
+            h = _divide_by_form(image, a, c)
+            if h is None:
+                raise EngineError(
+                    f"derivation {j} does not annihilate f: alpha_{H} does "
+                    f"not divide theta(alpha_{H})")
+            if arr.is_central:
+                for m, v in h.items():
+                    total[m] = total.get(m, 0) + v
+        if any(total.values()):
+            raise EngineError(
+                f"derivation {j} does not annihilate f: the quotients "
+                "h_H = theta(alpha_H)/alpha_H do not sum to 0")
+
+
 def _derivation_basis(arr):
     """The reduced POT Groebner basis of D_0 (central) or of a chart's D
-    (affine): the theta parts of the kernel of the linear map, as integer
-    term dicts over S^l."""
+    (affine), as integer term dicts over S^l: the kernel of the linear map
+    projected onto its l theta coordinates, the only ones tracked in the
+    elimination.  The h_H are not read off the kernel; the exact check
+    divides theta(alpha_H) by alpha_H instead."""
     columns, rows = _linear_columns(arr)
-    kernel = kernel_raw(columns, rows, arr.dim)
-    # M v = 0 in integers: theta(alpha_H) = alpha_H h_H for each H and,
-    # centrally, sum_H h_H = 0
-    if not in_kernel(kernel, columns, arr.dim):
-        raise EngineError("alleged syzygy does not annihilate f")
-    return [{t: c for t, c in k.items() if t[0] < arr.dim} for k in kernel]
+    basis = kernel_raw(columns, rows, arr.dim, tracked=arr.dim)
+    _check_log_derivations(arr, basis)
+    return basis
 
 
 def derivation_module_d0(dd):

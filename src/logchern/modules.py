@@ -738,7 +738,10 @@ def module_dual(pres):
 def ext1_against_ring(pres):
     """Ext^1_S(M, S) as homology of the dualized resolution at step 1:
     ker(phi_2^T) modulo im(phi_1^T), presented on generators of the
-    kernel."""
+    kernel.  The relations are the syzygies of [kernel | phi_1^T] projected
+    onto the kernel coordinates; only those m columns are tracked in the
+    elimination (`kernel_raw(..., tracked=m)`), so it never builds the
+    syzygies among the phi_1^T columns alone."""
     graded = pres.graded
     if graded:
         res = pres.minimal_resolution()
@@ -756,8 +759,8 @@ def ext1_against_ring(pres):
         return GradedModulePresentation.zero(pres.arity, graded=graded)
     m = len(kernel)
     twists = [_degree(k, F1d.twists) for k in kernel] if graded else None
-    # relations: the kernel coordinates of the syzygies of [kernel | phi1_T]
-    syz = eng.kernel_raw(kernel + phi1_T, F1d.rank, pres.arity)
-    return GradedModulePresentation(
-        GradedFreeModule(pres.arity, twists, m),
-        [{t: c for t, c in s.items() if t[0] < m} for s in syz])
+    # relations: the syzygies of [kernel | phi1_T] projected onto the
+    # kernel coordinates, the only ones the elimination tracks
+    syz = eng.kernel_raw(kernel + phi1_T, F1d.rank, pres.arity, tracked=m)
+    return GradedModulePresentation(GradedFreeModule(pres.arity, twists, m),
+                                    syz)

@@ -19,6 +19,14 @@ earlier route through the partials of f: D_0 is the syzygy module of
 (f_1, ..., f_l), a chart's D the theta part of the kernel of
 (f_1, ..., f_l, f), each presented by POT elimination.
 
+The library's eliminations for D_0, a chart's D and the relations of
+Ext^1 give an identity position only to the coordinates they keep.
+`derivation_basis_all_columns` and `ext1_all_columns` keep the earlier
+routes, which track every column and project afterwards: the h_H are read
+off the kernel and the whole kernel vector is checked with `in_kernel`,
+and the syzygies of ``[kernel | phi_1^T]`` are cut to the kernel
+coordinates.
+
 The library reads the Hilbert function and polynomial, Krull dimension and
 length off one Hilbert-series numerator per position.  The earlier routes
 stay below: standard monomials of the leading-term ideals enumerated
@@ -33,7 +41,7 @@ from math import gcd
 from logchern import groebner as eng
 from logchern import modules
 from logchern.errors import EngineError, HypothesisError, InputError
-from logchern.log_geometry import defining_data
+from logchern.log_geometry import _linear_columns, defining_data
 from itertools import combinations
 from math import comb
 
@@ -345,6 +353,45 @@ def affine_n_value(arr, degree_cap=DEGREE_CAP):
     if krull_dim(ext1) > 0:
         raise HypothesisError("affine non-free locus is not zero-dimensional")
     return finite_length(ext1, degree_cap=degree_cap)
+
+
+# ----- D_0, chart D and Ext^1 with every column tracked -----
+
+def derivation_basis_all_columns(arr):
+    """The reduced POT basis of D_0 (central) or of a chart's D (affine):
+    the kernel of the linear map with an identity position for every g_i
+    and h_H, checked whole by `in_kernel`, then cut to the theta parts."""
+    columns, rows = _linear_columns(arr)
+    kernel = eng.kernel_raw(columns, rows, arr.dim)
+    if not eng.in_kernel(kernel, columns, arr.dim):
+        raise EngineError("alleged syzygy does not annihilate f")
+    return [{t: c for t, c in k.items() if t[0] < arr.dim} for k in kernel]
+
+
+def ext1_all_columns(pres):
+    """Ext^1_S(M, S) on the kernel of phi_2^T, its relations the syzygies
+    of [kernel | phi_1^T] with every column tracked, cut to the kernel
+    coordinates."""
+    graded = pres.graded
+    res = (pres.minimal_resolution() if graded
+           else free_resolution(pres, minimal=False))
+    if res.length == 0:
+        return GradedModulePresentation.zero(pres.arity, graded=graded)
+    F1d = res.terms[1].dual()
+    phi1_T = modules._transpose(res.maps[0], res.terms[0].rank)
+    if res.length == 1:
+        return GradedModulePresentation(F1d, phi1_T)
+    phi2_T = modules._transpose(res.maps[1], res.terms[1].rank)
+    kernel = eng.kernel_raw(phi2_T, res.terms[2].rank, pres.arity)
+    if not kernel:
+        return GradedModulePresentation.zero(pres.arity, graded=graded)
+    m = len(kernel)
+    twists = ([modules._degree(k, F1d.twists) for k in kernel] if graded
+              else None)
+    syz = eng.kernel_raw(kernel + phi1_T, F1d.rank, pres.arity)
+    return GradedModulePresentation(
+        GradedFreeModule(pres.arity, twists, m),
+        [{t: c for t, c in s.items() if t[0] < m} for s in syz])
 
 
 # ----- Hilbert data from the staircase and the resolution -----

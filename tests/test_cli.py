@@ -168,7 +168,7 @@ def test_exponent_overflow_is_an_engine_report(monkeypatch):
     from logchern import groebner
     real = groebner.buchberger
 
-    def past_the_limit(gens, order):
+    def past_the_limit(gens, order, **kwargs):
         return real([{(0, (2 ** 15,) * order.arity): 1}], order)
 
     monkeypatch.setattr(groebner, "buchberger", past_the_limit)

@@ -11,8 +11,9 @@ import json
 
 import pytest
 
-from logchern import (arrangements, chern_csm, cli, groebner, log_geometry,
-                      modules, rings)
+from logchern import (Arrangement, EngineStats, arrangements, chern_csm, cli,
+                      groebner, log_geometry, log_modules, modules, rings,
+                      stats_scope)
 from logchern.cli import JobConfig, run
 
 LOGCHERN_MODULES = (arrangements, chern_csm, cli, groebner, log_geometry,
@@ -53,8 +54,19 @@ def test_engine_counters_are_pinned(tmp_path, command, name, counters):
             engine["basis_elements"], engine["max_degree"]) == counters
 
 
-@pytest.mark.parametrize("command,calls", [("verify", 166), ("nval", 568),
-                                           ("modules", 186)])
+def test_ext1_of_d0_counters_are_pinned():
+    # the one pinned Ext^1 on a resolution of length 2, where the syzygies
+    # of [kernel | phi_1^T] track only the kernel columns
+    _, d0, _, _, _ = log_modules(Arrangement(4, GENERIC6_L4))
+    stats = EngineStats()
+    with stats_scope(stats):
+        modules.ext1_against_ring(d0.presentation)
+    assert (stats.s_pairs, stats.zero_reductions, stats.basis_elements,
+            stats.max_degree) == (108, 53, 113, 5)
+
+
+@pytest.mark.parametrize("command,calls", [("verify", 136), ("nval", 453),
+                                           ("modules", 156)])
 def test_every_reduction_goes_through_reduce_full(monkeypatch, command,
                                                   calls):
     real = groebner.reduce_full

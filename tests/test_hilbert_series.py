@@ -107,9 +107,11 @@ def test_log_modules_match_the_staircase_oracles(name):
 
 
 def test_octic_plus1_n_route_matches_the_staircase_oracles():
-    # the modules N is read from: Ext^1 of Omega^1_0 and of 40 charts
+    # Ext^1 of Omega^1_0 and of 40 charts, which N is read from, and
+    # Ext^1 of D_0 (minimal resolution ranks 9, 8, 2)
     arr = load_arrangement("tests/data/frontier/octic_plus1.json")
-    *_, om0 = log_modules(arr)
+    _, d0, _, _, om0 = log_modules(arr)
     _assert_matches_oracles(ext1_against_ring(om0.presentation))
+    _assert_matches_oracles(ext1_against_ring(d0.presentation))
     for ext1 in _chart_ext1s(arr):
         _assert_matches_oracles(ext1)

@@ -75,7 +75,8 @@ def test_linear_route_matches_the_partials_route_on_fixed_inputs(normals):
 
 
 def _corrupting(monkeypatch):
-    """Make the kernel of the linear map hand back one wrong vector."""
+    """Make the kernel of the linear map hand back one wrong theta: one
+    coefficient off by one breaks alpha_H | theta(alpha_H) for some H."""
     real = log_geometry.kernel_raw
 
     def corrupted(*args, **kwargs):
@@ -91,7 +92,7 @@ def test_a_wrong_d0_kernel_vector_fails_the_exact_check(monkeypatch,
                                                         octic_arrangement):
     dd = defining_data(octic_arrangement)
     _corrupting(monkeypatch)
-    with pytest.raises(EngineError, match="does not annihilate f"):
+    with pytest.raises(EngineError, match="does not annihilate f: alpha_"):
         derivation_module_d0(dd)
 
 
@@ -99,7 +100,7 @@ def test_a_wrong_chart_kernel_vector_fails_the_exact_check(monkeypatch):
     aff = Arrangement(3, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 1)],
                       constants=[0, 0, 1, 2])
     _corrupting(monkeypatch)
-    with pytest.raises(EngineError, match="does not annihilate f"):
+    with pytest.raises(EngineError, match="does not annihilate f: alpha_"):
         affine_n_value(aff)
 
 
@@ -125,3 +126,8 @@ def test_octic_plus1_has_n_three_on_both_routes():
     assert result["N"] == 3
     assert result["per_flat_sum"] == 3
 
+
+def test_octic_plus2_verifies_with_n_eight():
+    result = _job("verify", "octic_plus2")
+    assert result["N"] == 8
+    assert not any(result["residual"])
