@@ -11,11 +11,58 @@ dropped).
 
 import json
 import os
+from bisect import insort
 from fractions import Fraction
+from functools import reduce
 from math import gcd
 
 from .errors import InputError
 from .rings import render_univariate, vec_primitive, rational_vec_primitive
+
+
+def _pivot(row):
+    """Column of the first nonzero entry of a nonzero row."""
+    for i, x in enumerate(row):
+        if x:
+            return i
+
+
+def _eliminate(vec, row, pc):
+    """``p vec - c row``, zero in column ``pc``, where p = row[pc] > 0 and
+    c = vec[pc] are divided by their gcd."""
+    g = gcd(row[pc], vec[pc])
+    p, c = row[pc] // g, vec[pc] // g
+    return [p * a - c * b for a, b in zip(vec, row)]
+
+
+def _reduce(rows, vec):
+    """A positive multiple of ``vec`` minus a combination of the canonical
+    echelon ``rows``, zero in every pivot column of ``rows``."""
+    for row in rows:
+        pc = _pivot(row)
+        if vec[pc]:
+            vec = _eliminate(vec, row, pc)
+    return vec
+
+
+def extend(rows, vec):
+    """Canonical echelon rows of the span of canonical echelon ``rows`` and
+    the integer vector ``vec``; ``rows`` itself when ``vec`` is in their
+    span.
+
+    ``vec`` is reduced against ``rows``, made primitive with a positive
+    pivot, and its pivot column is cleared from the other rows, which keep
+    their positive pivots.  Every step is integer cross-multiplication.
+    """
+    v = _reduce(rows, vec)
+    if not any(v):
+        return rows
+    v = vec_primitive(v)
+    pc = _pivot(v)
+    out = [vec_primitive(_eliminate(row, v, pc)) if row[pc] else row
+           for row in rows]
+    insort(out, v, key=_pivot)
+    return tuple(out)
 
 
 def rref(rows):
@@ -24,55 +71,23 @@ def rref(rows):
     Returns a tuple of rows: each is the primitive integer multiple, with a
     positive pivot, of the matching row of the reduced row echelon form
     over Q.  Zero rows are dropped, pivot columns are cleared and rows are
-    ordered by pivot column, so equal spans give equal tuples.  Elimination
-    is fraction-free (integer cross-multiplication), with the content of
-    each changed row divided out after every step.
+    ordered by pivot column, so equal spans give equal tuples.  It is
+    ``extend`` folded over the rows, starting from no rows.
     """
-    mat = [list(r) for r in rows]
-    ncols = len(mat[0]) if mat else 0
-    row_idx = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row_idx, len(mat)) if mat[r][col]),
-                     None)
-        if pivot is None:
-            continue
-        mat[row_idx], mat[pivot] = mat[pivot], mat[row_idx]
-        # entries left of col are zero, so the pivot becomes positive
-        prow = mat[row_idx] = list(vec_primitive(mat[row_idx]))
-        pv = prow[col]
-        for r in range(len(mat)):
-            c = mat[r][col]
-            if r != row_idx and c:
-                # pv > 0 keeps the sign of the pivots of the rows above
-                row = [pv * a - c * b for a, b in zip(mat[r], prow)]
-                g = gcd(*row)
-                mat[r] = [a // g for a in row] if g > 1 else row
-        row_idx += 1
-        if row_idx == len(mat):
-            break
-    return tuple(tuple(mat[i]) for i in range(row_idx))
+    return reduce(extend, rows, ())
 
 
 def in_row_span(vec, rref_rows):
     """Membership of a vector in the span of canonical echelon rows (as
-    returned by ``rref``), by integer cross-multiplication."""
-    v = list(vec)
-    for row in rref_rows:
-        pc = next(i for i, x in enumerate(row) if x)
-        c = v[pc]
-        if c:
-            p = row[pc]
-            v = [p * a - c * b for a, b in zip(v, row)]
-    return not any(v)
+    returned by ``rref``): its reduction against them is zero."""
+    return not any(_reduce(rref_rows, vec))
 
 
 def nullspace(rref_rows, ncols):
     """Basis of the solution space of the homogeneous system, from the
     canonical echelon rows: one vector per free column, 1 there and 0 in
     the other free columns."""
-    pivots = []
-    for row in rref_rows:
-        pivots.append(next(i for i, x in enumerate(row) if x != 0))
+    pivots = [_pivot(row) for row in rref_rows]
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
@@ -135,7 +150,7 @@ class Arrangement:
         return self.constants is None
 
     def rank(self):
-        return len(rref(self.normals)) if self.normals else 0
+        return len(rref(self.normals))
 
     def is_essential(self):
         return self.rank() == self.dim
@@ -177,7 +192,8 @@ def _is_int(x):
 
 
 def _is_rational(x):
-    if isinstance(x, bool):
+    # a float is its binary expansion, never the decimal the input showed
+    if isinstance(x, (bool, float)):
         return False
     try:
         Fraction(x)
@@ -220,7 +236,9 @@ def parse_arrangement(source):
     ``source`` may be a dict, a JSON string, or a path to a JSON file with
     fields  {"l": int, "hyperplanes": [[int, ...], ...],
     "labels": [...]?, "constants": [...]?}.  Input order is preserved.
-    Booleans are not integers here; anything malformed raises InputError.
+    A constant is an integer or a "p/q" string.  Booleans are not integers
+    and floats are not constants here; anything malformed raises
+    InputError.
     """
     data = _load_json_source(source)
     if not isinstance(data, dict) or "l" not in data or "hyperplanes" not in data:
@@ -241,7 +259,8 @@ def parse_arrangement(source):
                              "number per hyperplane")
         for c in constants:
             if not _is_rational(c):
-                raise InputError(f"constant {c!r} is not a rational number")
+                raise InputError(f"constant {c!r} is not an integer or a "
+                                 '"p/q" string')
     labels = data.get("labels")
     if labels is not None and not isinstance(labels, list):
         raise InputError('"labels" must be a list')
@@ -267,17 +286,9 @@ class Flat:
 
     def subspace_basis(self):
         """Basis of the linear part (directions) of the flat."""
-        if not self.equations:
-            basis = []
-            for i in range(self.ambient_dim):
-                v = [Fraction(0)] * self.ambient_dim
-                v[i] = Fraction(1)
-                basis.append(tuple(v))
-            return basis
         rows = self.equations
         if self.affine:
-            rows = tuple(r[:-1] for r in rows)
-            rows = rref(rows)
+            rows = rref(r[:-1] for r in rows)
         return nullspace(rows, self.ambient_dim)
 
     def sort_key(self):
@@ -351,55 +362,36 @@ def build_lattice(arr):
 
     A flat is keyed by the canonical integer echelon form of its equations
     (augmented with the constants column in the affine case, which is
-    canonical for consistent systems); the lattice layer does no rational
-    arithmetic.  Each flat X takes one echelon per cover Y: once
-    X meet H_h gives Y, every h' in Y but not in X gives Y again (same
-    codimension, Y contained in X meet H_h'), so those h' are skipped.  The
-    key is looked up before taking the closure, so every flat's closure is
-    computed once.  Codimension equals rank, so two levels never share a
-    flat.
+    canonical for consistent systems).  The covers of a flat X are the
+    distinct results of ``extend(X.equations, row_h)`` over the h not in
+    X; in affine mode a result with a row of zero normal part is empty and
+    dropped.  A cover Y holds the hyperplanes of X and every h whose
+    extension gave Y: for h in Y but not in X, X meet H_h has codimension
+    codim X + 1 and contains Y, so it is Y.  Codimension equals rank, so
+    two levels never share a flat.  Everything here is integer arithmetic.
     """
     dim = arr.dim
     affine = not arr.is_central
+    eqrows = arr.normals
     if affine:
-        eqrows = [tuple(arr.normals[i]) + (arr.constants[i],)
-                  for i in range(arr.n)]
-    else:
-        eqrows = [tuple(arr.normals[i]) for i in range(arr.n)]
-
-    def closure(eqs):
-        idx = [i for i in range(arr.n) if in_row_span(eqrows[i], eqs)]
-        return frozenset(idx)
-
-    def consistent(eqs):
-        if not affine:
-            return True
-        for row in eqs:
-            if all(x == 0 for x in row[:-1]) and row[-1] != 0:
-                return False
-        return True
-
-    current = [Flat(closure(()), (), 0, dim, affine)]
+        eqrows = [v + (c,) for v, c in zip(eqrows, arr.constants)]
+    current = [Flat((), (), 0, dim, affine)]
     levels = [current]
     while True:
-        nxt = {}
+        covers = {}
         for flat in current:
-            # flat.indices is closed, so every other h raises the rank by 1
-            covered = set(flat.indices)
             for h in range(arr.n):
-                if h in covered:
+                if h in flat.indices:
                     continue
-                eqs = rref(flat.equations + (eqrows[h],))
-                if not consistent(eqs):
+                eqs = extend(flat.equations, eqrows[h])
+                if affine and any(not any(row[:-1]) for row in eqs):
                     continue
-                cover = nxt.get(eqs)
-                if cover is None:
-                    cover = nxt[eqs] = Flat(closure(eqs), eqs,
-                                            flat.codim + 1, dim, affine)
-                covered |= cover.indices
-        if not nxt:
+                covers.setdefault(eqs, set(flat.indices)).add(h)
+        if not covers:
             break
-        current = list(nxt.values())
+        codim = len(levels)
+        current = [Flat(idx, eqs, codim, dim, affine)
+                   for eqs, idx in covers.items()]
         levels.append(current)
     return IntersectionLattice(arr, levels)
 
@@ -512,7 +504,7 @@ def decone(arr, h_index):
     if arr.dim < 2:
         raise InputError("deconing needs ambient dimension >= 2")
     alpha = arr.normals[h_index]
-    pivot = next(i for i, v in enumerate(alpha) if v != 0)
+    pivot = _pivot(alpha)
     point = [Fraction(0)] * arr.dim
     point[pivot] = Fraction(1, alpha[pivot])
     basis = []
@@ -570,7 +562,7 @@ def essentialize(arr):
         return arr
     basis = rref(arr.normals)
     r = len(basis)
-    pivots = [next(i for i, x in enumerate(row) if x != 0) for row in basis]
+    pivots = [_pivot(row) for row in basis]
     normals = []
     for alpha in arr.normals:
         # coordinates in the reduced echelon basis (rows divided by pivots)

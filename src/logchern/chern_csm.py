@@ -15,19 +15,24 @@ from .log_geometry import freeness_test, log_modules, nonfree_locus
 from .rings import TruncatedPoly, render_univariate
 
 
+def _integer_coeffs(l, coeffs):
+    """The first l coefficients, padded with zeros, as ints; InputError
+    if one of them is not an integer."""
+    coeffs = list(coeffs)[:l]
+    coeffs += [0] * (l - len(coeffs))
+    if any(c != int(c) for c in coeffs):
+        raise InputError("Chern coefficients must be integers")
+    return tuple(int(c) for c in coeffs)
+
+
 class ChernPoly:
     """Total Chern polynomial c_t truncated mod t^l, integer coefficients."""
 
     __slots__ = ("l", "coeffs")
 
     def __init__(self, l, coeffs):
-        coeffs = list(coeffs)[:l]
-        coeffs += [0] * (l - len(coeffs))
-        for c in coeffs:
-            if c != int(c):
-                raise InputError("Chern coefficients must be integers")
         self.l = l
-        self.coeffs = tuple(int(c) for c in coeffs)
+        self.coeffs = _integer_coeffs(l, coeffs)
 
     @classmethod
     def one(cls, l):
@@ -71,10 +76,8 @@ class ChowClass:
     __slots__ = ("l", "coeffs")
 
     def __init__(self, l, coeffs):
-        coeffs = list(coeffs)[:l]
-        coeffs += [0] * (l - len(coeffs))
         self.l = l
-        self.coeffs = tuple(int(c) for c in coeffs)
+        self.coeffs = _integer_coeffs(l, coeffs)
 
     def __add__(self, other):
         return ChowClass(self.l, [a + b for a, b in

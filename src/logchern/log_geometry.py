@@ -46,9 +46,9 @@ from .arrangements import Arrangement, build_lattice, localize
 from .errors import EngineError, HypothesisError, InputError
 from .groebner import FIELD_MASK, kernel_raw
 from .modules import (DEGREE_CAP, GradedFreeModule, GradedModulePresentation,
-                      ext1_against_ring, finite_length, from_engine,
-                      hilbert_polynomial, krull_dim, module_dual,
-                      presentation_of_basis)
+                      ext1_against_ring, from_engine, hilbert_polynomial,
+                      krull_dim, module_dual, presentation_of_basis,
+                      total_dimension)
 from .orders import FIELD_BITS
 from .rings import MultiPoly, poly_product
 
@@ -484,7 +484,8 @@ def affine_n_value(arr, degree_cap=DEGREE_CAP):
     ext1 = ext1_against_ring(module_dual(d))
     if krull_dim(ext1) > 0:
         raise HypothesisError("affine non-free locus is not zero-dimensional")
-    return finite_length(ext1, degree_cap=degree_cap)
+    # finite_length would only repeat the Krull dimension check above
+    return total_dimension(ext1, degree_cap=degree_cap)
 
 
 def chart_arrangement(arr, flat, chart=None):

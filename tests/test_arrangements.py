@@ -12,7 +12,7 @@ from logchern import (Arrangement, InputError, build_lattice, decone,
                       essentialize, localize, mobius, parse_arrangement,
                       poincare_affine, poincare_projective)
 from logchern import arrangements
-from logchern.arrangements import Flat, in_row_span, rref
+from logchern.arrangements import Flat, extend, in_row_span, rref
 from tests import lattice_reference as ref
 from tests.conftest import OCTIC_NORMALS, boolean, braid
 
@@ -119,6 +119,7 @@ def test_parse_rejects_dimension_mismatch():
     {"l": 2, "hyperplanes": [[1, 0], [0, 1]], "constants": [1, "1/0"]},
     {"l": 2, "hyperplanes": [[1, 0], [0, 1]], "constants": [1, True]},
     {"l": 2, "hyperplanes": [[1, 0], [0, 1]], "labels": 5},
+    {"l": 2, "hyperplanes": [[1, 0], [0, 1]], "constants": [1, 0.1]},
     "no/such/arrangement.json",
 ])
 def test_parse_rejects_malformed_input(source):
@@ -269,35 +270,26 @@ def test_random_lattices_match_brute_force():
 
 
 @pytest.mark.parametrize("arr", [Arrangement(5, braid(5)),
-                                 decone(Arrangement(5, braid(5)), 0)],
-                         ids=["braid_a4", "braid_a4_deconed"])
-def test_build_lattice_takes_one_closure_per_flat(arr, monkeypatch):
+                                 decone(Arrangement(5, braid(5)), 0),
+                                 Arrangement(6, braid(6))],
+                         ids=["braid_a4", "braid_a4_deconed", "braid_a5"])
+def test_build_lattice_takes_one_extension_per_flat_and_hyperplane(
+        arr, monkeypatch):
+    # one echelon step per flat X and hyperplane h not in X; no closure,
+    # span test or full echelon
     calls = []
 
-    def counted(vec, rows):
+    def counted(rows, vec):
         calls.append(1)
-        return in_row_span(vec, rows)
-    monkeypatch.setattr(arrangements, "in_row_span", counted)
+        return extend(rows, vec)
+
+    def forbidden(*args):
+        raise AssertionError("build_lattice re-eliminates")
+    monkeypatch.setattr(arrangements, "extend", counted)
+    monkeypatch.setattr(arrangements, "in_row_span", forbidden)
+    monkeypatch.setattr(arrangements, "rref", forbidden)
     lat = build_lattice(arr)
-    assert len(calls) == arr.n * len(list(lat.all_flats()))
-
-
-@pytest.mark.parametrize("l, covers", [(5, 160), (6, 856)],
-                         ids=["braid_a4", "braid_a5"])
-def test_build_lattice_takes_one_echelon_per_cover(l, covers, monkeypatch):
-    arr = Arrangement(l, braid(l))
-    calls = []
-
-    def counted(rows):
-        calls.append(1)
-        return rref(rows)
-    monkeypatch.setattr(arrangements, "rref", counted)
-    lat = build_lattice(arr)
-    pairs = sum(1 for c in range(1, len(lat.levels))
-                for y in lat.levels[c] for x in lat.levels[c - 1]
-                if x.indices <= y.indices)
-    assert pairs == covers
-    assert len(calls) == covers
+    assert len(calls) == sum(arr.n - len(f.indices) for f in lat.all_flats())
 
 
 def test_braid_a6_lattice_poincare_and_decone():
@@ -353,6 +345,8 @@ def test_integer_echelon_matches_fraction_reference(system):
     ref_eqs = ref.rref(rows)
     assert eqs == _primitive_rows(ref_eqs)
     assert all(isinstance(x, int) for row in eqs for x in row)
+    assert extend(eqs, vec) == rref(rows + [vec]) == \
+        _primitive_rows(ref.rref(rows + [vec]))
     combo = [sum(c * row[j] for c, row in zip(coeffs, rows))
              for j in range(width)]
     assert in_row_span(combo, eqs)

@@ -1,8 +1,10 @@
 """Chow-ring operations and the identity-verification pipelines."""
 
+from fractions import Fraction
+
 import pytest
 
-from logchern import (Arrangement, ChernPoly, GradedFreeModule,
+from logchern import (Arrangement, ChernPoly, ChowClass, GradedFreeModule,
                       GradedModulePresentation,
                       HypothesisError, InputError, MultiPoly, PoincarePoly,
                       chern_dual, chern_from_resolution, chern_point,
@@ -69,6 +71,16 @@ def test_chern_dual_examples():
     assert chern_dual(chern_dual(c)) == c
     pi_shape = ChernPoly(4, [1, 7, 18, 17])
     assert chern_dual(pi_shape).coeffs == (1, -7, 18, -17)
+
+
+@pytest.mark.parametrize("cls", [ChernPoly, ChowClass])
+@pytest.mark.parametrize("bad", [Fraction(1, 2), 2.7])
+def test_non_integer_coefficients_raise(cls, bad):
+    # integral Fractions and floats are accepted as ints; others never
+    # truncate
+    assert cls(3, [Fraction(4, 2), 3.0]).coeffs == (2, 3, 0)
+    with pytest.raises(InputError, match="must be integers"):
+        cls(3, [1, bad, 2])
 
 
 def test_twist_chern_octic_value():

@@ -300,6 +300,21 @@ def test_resolution_maps_match_the_golden_file(name):
     assert json.loads(render(report, "json"))["result"] == golden[name]
 
 
+LATTICE_GOLDEN = Path(__file__).parent / "data" / "lattice_golden.json"
+
+
+@pytest.mark.parametrize("name", [name for name, _ in bundled_examples()])
+def test_lattice_reports_match_the_golden_file(name):
+    # the lattice, poincare and csm results; CI compares the installed
+    # script with the same file
+    golden = json.loads(LATTICE_GOLDEN.read_text())[name]
+    for command in ("lattice", "poincare", "csm"):
+        report, code = run(_job(command, f"example:{name}", fmt="json"))
+        assert code == 0
+        assert json.loads(render(report, "json"))["result"] == \
+            golden[command], command
+
+
 def test_modules_command_reports_kinds():
     report, code = run(_job("modules", "example:boolean_l3"))
     assert code == 0

@@ -10,9 +10,9 @@ from logchern import (Arrangement, InputError,
                       hilbert_function, hilbert_polynomial, log_derivations,
                       log_forms, log_modules, module_dual, nonfree_locus,
                       per_flat_n_values, relative_log_forms)
-from logchern import log_geometry
+from logchern import log_geometry, modules
 from logchern.log_geometry import chart_arrangement
-from logchern.modules import krull_dim
+from logchern.modules import hilbert_numerators, krull_dim
 from tests import wedge_reference as wedge
 from tests.conftest import BRAID_TRIPLE, GENERIC4, GENERIC5, boolean
 
@@ -289,6 +289,19 @@ def test_per_flat_takes_one_affine_n_per_distinct_chart(
     assert len(charts) == len(set(charts)) == 16
     assert sum(values.values()) == 3
     assert sorted(v for v in values.values() if v) == [1, 2]
+
+
+def test_affine_n_reads_the_hilbert_numerators_twice_per_chart(
+        octic_arrangement, octic_lattice, monkeypatch):
+    # once for the Krull dimension check, once for the length
+    calls = []
+
+    def counted(pres):
+        calls.append(1)
+        return hilbert_numerators(pres)
+    monkeypatch.setattr(modules, "hilbert_numerators", counted)
+    per_flat_n_values(octic_arrangement, lattice=octic_lattice)
+    assert len(calls) == 2 * 16
 
 
 def test_per_flat_requires_central():
