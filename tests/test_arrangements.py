@@ -275,21 +275,29 @@ def test_random_lattices_match_brute_force():
                          ids=["braid_a4", "braid_a4_deconed", "braid_a5"])
 def test_build_lattice_takes_one_extension_per_flat_and_hyperplane(
         arr, monkeypatch):
-    # one echelon step per flat X and hyperplane h not in X; no closure,
-    # span test or full echelon
+    # one echelon step per flat X and hyperplane h not in X
     calls = []
 
     def counted(rows, vec):
         calls.append(1)
         return extend(rows, vec)
+    monkeypatch.setattr(arrangements, "extend", counted)
+    lat = build_lattice(arr)
+    assert len(calls) == sum(arr.n - len(f.indices) for f in lat.all_flats())
 
+
+@pytest.mark.parametrize("arr", [Arrangement(5, braid(5)),
+                                 decone(Arrangement(5, braid(5)), 0)],
+                         ids=["braid_a4", "braid_a4_deconed"])
+def test_build_lattice_takes_no_span_test_or_full_echelon(arr, monkeypatch):
+    # a cover's hyperplanes come from the extensions that gave it: no
+    # closure by span tests, no full echelon per cover
     def forbidden(*args):
         raise AssertionError("build_lattice re-eliminates")
-    monkeypatch.setattr(arrangements, "extend", counted)
     monkeypatch.setattr(arrangements, "in_row_span", forbidden)
     monkeypatch.setattr(arrangements, "rref", forbidden)
     lat = build_lattice(arr)
-    assert len(calls) == sum(arr.n - len(f.indices) for f in lat.all_flats())
+    assert lattice_flats(lat) == brute_force_flats(arr)
 
 
 def test_braid_a6_lattice_poincare_and_decone():
