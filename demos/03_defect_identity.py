@@ -8,8 +8,8 @@ For a locally tame arrangement with zero-dimensional non-free locus,
 Both sides are computed by independent pipelines: the left side from the
 minimal free resolution of D_0 through the Whitney formula, the right side
 from the intersection lattice through the CSM expansion of the Poincare
-polynomial.  N comes from the graded Ext^1 of Omega^1_0; a per-flat chart
-computation cross-checks it.
+polynomial.  N comes from the graded Ext^1 of Omega^1_0; a per-point
+computation, on the chart centred at each point, cross-checks it.
 
 Run:  python demos/03_defect_identity.py
 """

@@ -115,8 +115,6 @@ def chern_from_resolution(res, shift, l):
     out = TruncatedPoly.one(l)
     invert = False
     for F in res.terms:
-        if not F.graded:
-            raise InputError("Chern classes need a graded resolution")
         factor = TruncatedPoly.one(l)
         for a in F.twists:
             factor = factor * TruncatedPoly.linear(l, shift - a)

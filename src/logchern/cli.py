@@ -174,9 +174,7 @@ def _cmd_modules(arr, config):
     out = {"f": dd.f.render(), "degree": dd.degree, "modules": {}}
     for lm in (d0, full_d, om1, om0):
         entry = lm.report()
-        if lm.graded:
-            fr = freeness_test(lm)
-            entry["freeness"] = fr.to_dict()
+        entry["freeness"] = freeness_test(lm).to_dict()
         out["modules"][lm.kind] = entry
     try:
         nfl = nonfree_locus(om0)

@@ -20,7 +20,7 @@ per hyperplane.  D(A) is the projection to the theta part of the kernel of
 
     (g_1..g_l, h_H) -> (sum_i a_{H,i} g_i - alpha_H h_H)_H,
 
-a map whose entries are constants and the linear forms alpha_H.  Since
+a map whose entries are integers and the linear forms alpha_H.  Since
 theta(f)/f = sum_H h_H, one more row, sum_H h_H, cuts out D_0.  The POT
 elimination tracks only the l theta coordinates (the h_H columns need no
 identity position, since no caller reads them), so it returns the reduced
@@ -37,12 +37,19 @@ duality Omega^1 = Hom_S(D, S) reads
 So Omega^1_0 is built as the dual of D_0 (one ``module_dual`` per
 arrangement) and Omega^1 as the direct sum with S*(df/f), just as D is
 built from D_0; the form modules are presented in the dual basis, by the
-values of a form on the generators of D_0.  In an affine chart D is the
-same kernel without the row sum_H h_H (the alpha_H affine), and
-Omega^1 = D^*.
+values of a form on the generators of D_0.
+
+The localization formula sums local lengths over the points of the
+non-free locus.  Every hyperplane of the localization at a point q passes
+through q, so on the affine chart z_c = 1 (q_c != 0, scaled to 1) in the
+coordinates z_i - q_i, i != c, it is the central arrangement A'_q in l - 1
+variables whose normals are the localization's with coordinate c
+dropped.  The point's N is the length of Ext^1(D(A'_q)^*, S'), where
+D(A'_q) is the same kernel without the row sum_H h_H.  Everything here is
+graded.
 """
 
-from .arrangements import Arrangement, build_lattice, localize
+from .arrangements import Arrangement, build_lattice, localize, rref
 from .errors import EngineError, HypothesisError, InputError
 from .groebner import FIELD_MASK, kernel_raw
 from .modules import (DEGREE_CAP, GradedFreeModule, GradedModulePresentation,
@@ -68,39 +75,28 @@ class DefiningData:
     def arity(self):
         return self.arrangement.dim
 
-    @property
-    def graded(self):
-        return self.arrangement.is_central
-
     def euler_coefficients(self):
         """The coefficient vector (z_1, ..., z_l) of the Euler derivation."""
         return [MultiPoly.variable(self.arity, i) for i in range(self.arity)]
 
 
-def hyperplane_form(arr, i):
-    """The linear (or affine) form vanishing on hyperplane i."""
-    form = MultiPoly.linear_form(arr.normals[i])
-    if arr.constants is not None and arr.constants[i]:
-        form = form - MultiPoly.constant(arr.dim, arr.constants[i])
-    return form
-
-
 def defining_data(arr):
-    """f = product of the hyperplane forms, with partials; verifies the
-    Euler identity  sum z_i f_i = d f  in the central case."""
+    """f = product of the hyperplane forms of a central arrangement, with
+    partials; verifies the Euler identity  sum z_i f_i = d f."""
+    if not arr.is_central:
+        raise InputError("logarithmic modules are computed for central "
+                         "arrangements")
     if arr.n < 1:
         raise InputError("defining polynomial needs at least one hyperplane")
-    f = poly_product([hyperplane_form(arr, i) for i in range(arr.n)],
+    f = poly_product([MultiPoly.linear_form(a) for a in arr.normals],
                      arity=arr.dim)
     partials = [f.partial(i) for i in range(arr.dim)]
     dd = DefiningData(arr, f, partials)
-    if arr.is_central:
-        zs = dd.euler_coefficients()
-        acc = MultiPoly.zero(arr.dim)
-        for z, fi in zip(zs, partials):
-            acc = acc + z * fi
-        if acc != f * dd.degree:
-            raise EngineError("Euler identity failed (internal error)")
+    acc = MultiPoly.zero(arr.dim)
+    for z, fi in zip(dd.euler_coefficients(), partials):
+        acc = acc + z * fi
+    if acc != f * dd.degree:
+        raise EngineError("Euler identity failed (internal error)")
     return dd
 
 
@@ -111,8 +107,8 @@ class LogModule:
     the generators' coefficient vectors in ``ambient`` = S^l, in the order
     of the presentation's generators.  ``generators`` reads them as
     `FreeModuleElement`s, converting on each access; it is public API with
-    no reader in the library, which converts only the rows of the Saito
-    determinant.  The form modules come from duality and carry only their
+    no reader in the library, whose Saito check evaluates the dicts
+    themselves.  The form modules come from duality and carry only their
     presentation (``ambient`` None, no vectors).
     """
 
@@ -130,10 +126,6 @@ class LogModule:
     def generators(self):
         return tuple(from_engine(v, self.ambient) for v in self.vectors)
 
-    @property
-    def graded(self):
-        return self.presentation.graded
-
     def minimal_resolution(self):
         return self.presentation.minimal_resolution()
 
@@ -143,15 +135,11 @@ class LogModule:
         ``ambient_rank`` is l: derivations live in S^l, forms in
         (1/f) S^l.
         """
-        out = {"kind": self.kind, "ambient_rank": self.defining.arity}
-        if self.graded:
-            res = self.minimal_resolution()
-            out["generator_degrees"] = sorted(res.terms[0].twists)
-            out["resolution_twists"] = [F.twist_multiset() for F in res.terms]
-            out["pdim"] = res.length
-        else:
-            out["generator_count"] = self.presentation.target.rank
-        return out
+        res = self.minimal_resolution()
+        return {"kind": self.kind, "ambient_rank": self.defining.arity,
+                "generator_degrees": sorted(res.terms[0].twists),
+                "resolution_twists": [F.twist_multiset() for F in res.terms],
+                "pdim": res.length}
 
 
 def _free_summand_plus(twist, pres):
@@ -162,11 +150,12 @@ def _free_summand_plus(twist, pres):
                  for r in pres.relations])
 
 
-def _linear_columns(arr):
+def _linear_columns(arr, d0):
     """Columns of the linear map of derivations, one per g_i and then one
     per h_H, as integer term dicts over the rows: row H is
-    sum_i a_{H,i} g_i - alpha_H h_H, and a central arrangement adds the
-    row sum_H h_H last.  Returns ``(columns, row count)``."""
+    sum_i a_{H,i} g_i - alpha_H h_H, and with ``d0`` the row sum_H h_H,
+    which cuts D_0 out of D, comes last.  Returns ``(columns, row
+    count)``."""
     l, n = arr.dim, arr.n
     zero = (0,) * l
     units = [tuple(int(i == k) for i in range(l)) for k in range(l)]
@@ -174,17 +163,15 @@ def _linear_columns(arr):
             for i in range(l)]
     for H, a in enumerate(arr.normals):
         col = {(H, units[k]): -c for k, c in enumerate(a) if c}
-        if arr.is_central:
+        if d0:
             col[(n, zero)] = 1
-        elif arr.constants[H]:
-            col[(H, zero)] = arr.constants[H]
         cols.append(col)
-    return cols, n + arr.is_central
+    return cols, n + d0
 
 
-def _divide_by_form(p, a, c):
-    """The quotient of the integer polynomial ``p`` by alpha = a.z - c, or
-    None when alpha does not divide p in integers.
+def _divide_by_form(p, a):
+    """The quotient of the integer polynomial ``p`` by alpha = a.z, or None
+    when alpha does not divide p in integers.
 
     Monomials are packed ints, exponent i in the ``FIELD_BITS``-wide field
     i, as in `orders` (the quotient's exponents are below p's, and a
@@ -217,37 +204,34 @@ def _divide_by_form(p, a, c):
             q[m] = qc
             for u, x in rest:
                 lower[m + u] = lower.get(m + u, 0) - qc * x
-            if c:
-                lower[m] = lower.get(m, 0) + qc * c
     if any(levels.get(0, {}).values()):
         return None
     return q
 
 
-def _check_log_derivations(arr, basis):
+def _check_log_derivations(arr, basis, d0):
     """Raise `EngineError` unless every theta of ``basis`` (integer term
     dicts over S^l) is logarithmic: alpha_H divides theta(alpha_H) in
-    integers for each H, and, centrally, the quotients h_H sum to 0, so
+    integers for each H, and, with ``d0``, the quotients h_H sum to 0, so
     theta(f)/f = sum_H h_H = 0."""
-    consts = arr.constants or (0,) * arr.n
     shifts = [FIELD_BITS * i for i in range(arr.dim)]
     for j, theta in enumerate(basis):
         comps = [[] for _ in shifts]
         for (i, exps), v in theta.items():
             comps[i].append((sum(e << s for e, s in zip(exps, shifts)), v))
         total = {}
-        for H, (a, c) in enumerate(zip(arr.normals, consts)):
+        for H, a in enumerate(arr.normals):
             image = {}
             for i, x in enumerate(a):
                 if x:
                     for m, v in comps[i]:
                         image[m] = image.get(m, 0) + x * v
-            h = _divide_by_form(image, a, c)
+            h = _divide_by_form(image, a)
             if h is None:
                 raise EngineError(
                     f"derivation {j} does not annihilate f: alpha_{H} does "
                     f"not divide theta(alpha_{H})")
-            if arr.is_central:
+            if d0:
                 for m, v in h.items():
                     total[m] = total.get(m, 0) + v
         if any(total.values()):
@@ -256,16 +240,21 @@ def _check_log_derivations(arr, basis):
                 "h_H = theta(alpha_H)/alpha_H do not sum to 0")
 
 
-def _derivation_basis(arr):
-    """The reduced POT Groebner basis of D_0 (central) or of a chart's D
-    (affine), as integer term dicts over S^l: the kernel of the linear map
-    projected onto its l theta coordinates, the only ones tracked in the
-    elimination.  The h_H are not read off the kernel; the exact check
-    divides theta(alpha_H) by alpha_H instead."""
-    columns, rows = _linear_columns(arr)
+def _derivation_basis(arr, d0):
+    """The reduced POT Groebner basis of D_0 (``d0``) or of D, as integer
+    term dicts over S^l: the kernel of the linear map projected onto its l
+    theta coordinates, the only ones tracked in the elimination.  The h_H
+    are not read off the kernel; the exact check divides theta(alpha_H) by
+    alpha_H instead."""
+    columns, rows = _linear_columns(arr, d0)
     basis = kernel_raw(columns, rows, arr.dim, tracked=arr.dim)
-    _check_log_derivations(arr, basis)
+    _check_log_derivations(arr, basis, d0)
     return basis
+
+
+def _euler_vector(l):
+    """The Euler derivation chi = sum_i z_i d/dz_i as a term dict."""
+    return {(i, tuple(int(k == i) for k in range(l))): 1 for i in range(l)}
 
 
 def derivation_module_d0(dd):
@@ -277,10 +266,8 @@ def derivation_module_d0(dd):
     vectors in S^l graded by coefficient degree, presented by their
     chain-criterion S-pair syzygies.
     """
-    if not dd.graded:
-        raise InputError("D_0 is computed for central arrangements")
     arity = dd.arity
-    basis = _derivation_basis(dd.arrangement)
+    basis = _derivation_basis(dd.arrangement, d0=True)
     ambient = GradedFreeModule(arity, [0] * arity)
     if not basis:
         pres = GradedModulePresentation.zero(arity)
@@ -291,19 +278,14 @@ def derivation_module_d0(dd):
 
 def log_derivations(dd, d0=None):
     """D = S*chi + D_0, presented as a direct sum (the central splitting)."""
-    if not dd.graded:
-        raise InputError("D is computed for central arrangements")
     d0 = d0 or derivation_module_d0(dd)
-    zero = (0,) * dd.arity
-    chi = {(i, zero[:i] + (1,) + zero[i + 1:]): 1 for i in range(dd.arity)}
     pres = _free_summand_plus(1, d0.presentation)
-    return LogModule("D", pres, dd, d0.ambient, (chi,) + d0.vectors)
+    return LogModule("D", pres, dd, d0.ambient,
+                     (_euler_vector(dd.arity),) + d0.vectors)
 
 
 def relative_log_forms(dd, d0=None):
     """Omega^1_0 = D_0^*(-1), the forms killed by <chi, ->."""
-    if not dd.graded:
-        raise InputError("Omega^1_0 is defined for central arrangements")
     d0 = d0 or derivation_module_d0(dd)
     return LogModule("Omega1_0", module_dual(d0.presentation).twisted(-1),
                      dd)
@@ -312,8 +294,6 @@ def relative_log_forms(dd, d0=None):
 def log_forms(dd, om0=None):
     """Omega^1 = S*(df/f) + Omega^1_0 as a direct sum, df/f in degree 0
     (the central splitting, dual to D = S*chi + D_0)."""
-    if not dd.graded:
-        raise InputError("Omega^1 is computed for central arrangements")
     om0 = om0 or relative_log_forms(dd)
     return LogModule("Omega1", _free_summand_plus(0, om0.presentation), dd)
 
@@ -350,35 +330,32 @@ class FreenessReport:
                 f"exponents={self.exponents}, pdim={self.pdim})")
 
 
-def _det(rows):
-    """Laplace expansion by the first column; each minor, on rows ``live``
-    and the last len(live) columns, is computed once."""
-    n = len(rows)
-    minors = {}
-
-    def minor(live):
-        c = n - len(live)
-        if c == n - 1:
-            return rows[live[0]][c]
-        if live not in minors:
-            out = MultiPoly.zero(rows[0][0].arity)
-            for k, i in enumerate(live):
-                if not rows[i][c].is_zero():
-                    term = rows[i][c] * minor(live[:k] + live[k + 1:])
-                    out = out + term if k % 2 == 0 else out - term
-            minors[live] = out
-        return minors[live]
-
-    return minor(tuple(range(n)))
-
-
-def _saito_check(dd, rows):
-    """Saito's criterion: det of the coefficient rows is c*f, c != 0."""
-    try:
-        q = _det(rows).divide_exact(dd.f)
-    except InputError:
+def _saito_check(dd, vectors):
+    """Saito's criterion for l elements of D(A), integer term dicts over
+    S^l: their determinant lies in f*S, so it is c*f when their degrees sum
+    to n = deg f.  Then c != 0 iff their coefficient matrix has rank l at a
+    point p off every hyperplane, where f(p) != 0; p = (1, t, ..., t^(l-1))
+    with the least such t >= 1 (each alpha_H(p) is a nonzero polynomial in
+    t of degree < l, so some t <= n (l - 1) + 1 works)."""
+    l = dd.arity
+    degrees = [{sum(exps) for _, exps in v} for v in vectors]
+    if any(len(d) != 1 for d in degrees) or \
+            sum(min(d) for d in degrees) != dd.degree:
         return False
-    return set(q.terms) == {(0,) * dd.arity}
+    t = 1
+    while any(sum(a * t ** i for i, a in enumerate(alpha)) == 0
+              for alpha in dd.arrangement.normals):
+        t += 1
+    point = [t ** i for i in range(l)]
+    rows = []
+    for v in vectors:
+        row = [0] * l
+        for (i, exps), c in v.items():
+            for x, e in zip(point, exps):
+                c *= x ** e
+            row[i] += c
+        rows.append(row)
+    return len(rref(rows)) == l
 
 
 def freeness_test(lm):
@@ -388,18 +365,15 @@ def freeness_test(lm):
     its minimal resolution keeps, which with chi form a basis of D; for
     l = 1, D_0 = 0 and chi alone has determinant f.
     """
-    if not lm.graded:
-        raise InputError("freeness is tested on graded (central) modules")
     res = lm.minimal_resolution()
     is_free = res.length == 0
     exponents = sorted(res.terms[0].twists) if is_free else None
     saito = is_free and lm.kind == "D0"
     if saito:
         dd = lm.defining
-        rows = [dd.euler_coefficients()] + [
-            from_engine(lm.vectors[i], lm.ambient).components
-            for i in res.kept]
-        if not _saito_check(dd, rows):
+        vectors = [_euler_vector(dd.arity)] + [lm.vectors[i]
+                                               for i in res.kept]
+        if not _saito_check(dd, vectors):
             raise EngineError("free D_0 failed the Saito determinant check")
     return FreenessReport(lm.kind, is_free, exponents, res.length,
                           saito_checked=saito)
@@ -433,8 +407,8 @@ def nonfree_locus(lm, per_flat=False, chart=None, degree_cap=DEGREE_CAP,
     The Hilbert polynomial of Ext^1 is constant once the support is a cone
     over finitely many projective points (cone dimension <= 1); that
     constant is N; both read the Hilbert series of Ext^1, not a resolution.
-    With ``per_flat`` the chart-by-chart affine route of the localization
-    formula is computed (on ``lattice`` when given) and compared.
+    With ``per_flat`` the point-by-point route of the localization formula
+    is computed (on ``lattice`` when given) and compared.
     """
     if lm.kind != "Omega1_0":
         raise InputError("the non-free locus is read off Omega^1_0")
@@ -467,20 +441,24 @@ def nonfree_locus(lm, per_flat=False, chart=None, degree_cap=DEGREE_CAP,
 
 
 def affine_n_value(arr, degree_cap=DEGREE_CAP):
-    """N of an affine arrangement: length of Ext^1(Omega^1, S) in the chart.
+    """N of one point q of the non-free locus: the length of
+    Ext^1(D(A'_q)^*, S') for the central arrangement A'_q of the affine
+    chart centred at q (`_centred_localization`).
 
-    D is the module of theta with theta(alpha_H) in (alpha_H) for every
-    affine form alpha_H, the theta part of the kernel of the linear map of
-    the module docstring (no row sum_H h_H), presented by its S-pair
-    syzygies; Omega^1 = D^*.
+    D(A'_q) is the theta part of the kernel of the linear map of the module
+    docstring without the row sum_H h_H, presented by its S-pair syzygies.
+    The name is the chart's: A'_q is the localization at q on an affine
+    chart, moved so that q is the origin, and the length is the affine
+    one.
     """
-    if arr.is_central:
-        raise InputError("affine_n_value expects an affine arrangement")
+    if not arr.is_central:
+        raise InputError("affine_n_value expects the central arrangement "
+                         "of a chart centred at a point")
     if arr.n < 1:
         raise InputError("defining polynomial needs at least one hyperplane")
     arity = arr.dim
-    d = presentation_of_basis(_derivation_basis(arr),
-                              GradedFreeModule(arity, rank=arity))
+    d = presentation_of_basis(_derivation_basis(arr, d0=False),
+                              GradedFreeModule(arity, [0] * arity))
     ext1 = ext1_against_ring(module_dual(d))
     if krull_dim(ext1) > 0:
         raise HypothesisError("affine non-free locus is not zero-dimensional")
@@ -488,34 +466,31 @@ def affine_n_value(arr, degree_cap=DEGREE_CAP):
     return total_dimension(ext1, degree_cap=degree_cap)
 
 
-def chart_arrangement(arr, flat, chart=None):
-    """The localization at a rank-(l-1) flat, dehomogenized on a coordinate
-    chart of PV that contains the flat's projective point."""
+def _centred_localization(arr, flat, chart=None):
+    """A'_q for the point q of a rank-(l-1) flat: the normals of the
+    localization at q with coordinate ``chart`` dropped, which must be
+    nonzero on q (default: its first nonzero coordinate).  On the chart
+    z_c = 1 a form alpha vanishing at q is sum_{i != c} a_i (z_i - q_i)."""
     sub = localize(arr, flat)
     direction = flat.subspace_basis()
     if len(direction) != 1:
         raise InputError("chart construction needs a codimension l-1 flat")
     v = direction[0]
-    if chart is not None:
-        if not 0 <= chart < arr.dim or v[chart] == 0:
-            raise InputError(
-                f"chart {chart} does not contain the point of this flat")
-        c = chart
-    else:
-        c = next(i for i, x in enumerate(v) if x != 0)
-    normals = []
-    consts = []
-    for alpha in sub.normals:
-        normals.append([a for i, a in enumerate(alpha) if i != c])
-        consts.append(-alpha[c])
-    return Arrangement(arr.dim - 1, normals, constants=consts)
+    if chart is None:
+        chart = next(i for i, x in enumerate(v) if x != 0)
+    elif not 0 <= chart < arr.dim or v[chart] == 0:
+        raise InputError(
+            f"chart {chart} does not contain the point of this flat")
+    return Arrangement(arr.dim - 1,
+                       [a[:chart] + a[chart + 1:] for a in sub.normals])
 
 
 def per_flat_n_values(arr, lattice=None, chart=None, degree_cap=DEGREE_CAP):
-    """N(A_X) per codimension-(l-1) flat, per the localization formula.
+    """N(A_X) per codimension-(l-1) flat, per the localization formula:
+    ``affine_n_value`` of the flat's point on the chart centred there.
 
-    Flats whose charts are the same affine arrangement (same normals and
-    constants, in order) share one ``affine_n_value`` computation.
+    Points whose A'_q have the same normals, in order, share one
+    computation.
     """
     if not arr.is_central:
         raise InputError("per-flat N values need a central arrangement")
@@ -523,12 +498,12 @@ def per_flat_n_values(arr, lattice=None, chart=None, degree_cap=DEGREE_CAP):
         raise InputError("per-flat N values need l >= 2: the flats of "
                          "codimension l - 1 are points of P^(l-1)")
     lat = lattice or build_lattice(arr)
-    by_chart = {}
+    by_normals = {}
     values = {}
     for flat in lat.flats_of_codim(arr.dim - 1):
-        aff = chart_arrangement(arr, flat, chart=chart)
-        key = (aff.normals, aff.constants)
-        if key not in by_chart:
-            by_chart[key] = affine_n_value(aff, degree_cap=degree_cap)
-        values[flat] = by_chart[key]
+        local = _centred_localization(arr, flat, chart=chart)
+        if local.normals not in by_normals:
+            by_normals[local.normals] = affine_n_value(
+                local, degree_cap=degree_cap)
+        values[flat] = by_normals[local.normals]
     return values

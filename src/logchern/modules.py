@@ -18,9 +18,10 @@ minimalized fraction-free, so it enters the engine as it is.
 `to_engine` and `from_engine` convert at that boundary, and
 `ResolutionData.dump` renders through `from_engine`.
 
-The same machinery runs in an ungraded mode (twists absent) for
-computations in affine charts, where minimality of resolutions is not
-defined and is skipped.
+Every free module carries its twists, so every kernel, resolution and
+Ext^1 is graded.  The per-point lengths of the localization formula are
+graded too: they are computed on a central arrangement, the localization at
+the point on the chart centred there (`log_geometry.per_flat_n_values`).
 """
 
 from fractions import Fraction
@@ -38,26 +39,14 @@ DEGREE_CAP = 200
 
 
 class GradedFreeModule:
-    """A free module ⊕_j S(-a_j); ``twists=None`` marks the ungraded mode."""
+    """A free module ⊕_j S(-a_j), one twist a_j per generator."""
 
     __slots__ = ("arity", "twists", "rank")
 
-    def __init__(self, arity, twists=None, rank=None):
+    def __init__(self, arity, twists):
         self.arity = arity
-        if twists is not None:
-            self.twists = tuple(twists)
-            self.rank = len(self.twists)
-            if rank is not None and rank != self.rank:
-                raise InputError("rank does not match twist count")
-        else:
-            if rank is None:
-                raise InputError("ungraded free module needs an explicit rank")
-            self.twists = None
-            self.rank = rank
-
-    @property
-    def graded(self):
-        return self.twists is not None
+        self.twists = tuple(twists)
+        self.rank = len(self.twists)
 
     def element(self, components):
         return FreeModuleElement(self, components)
@@ -67,14 +56,12 @@ class GradedFreeModule:
             self, [MultiPoly.zero(self.arity)] * self.rank)
 
     def dual(self):
-        if not self.graded:
-            return GradedFreeModule(self.arity, rank=self.rank)
         return GradedFreeModule(self.arity, [-a for a in self.twists])
 
     def twist_multiset(self):
         """Counter of S(n) arguments, n = -a, as used in resolution dumps."""
         out = {}
-        for a in (self.twists or ()):
+        for a in self.twists:
             out[-a] = out.get(-a, 0) + 1
         return dict(sorted(out.items(), reverse=True))
 
@@ -84,10 +71,8 @@ class GradedFreeModule:
                 and self.twists == other.twists)
 
     def __repr__(self):
-        if self.graded:
-            return (f"GradedFreeModule(arity={self.arity}, "
-                    f"twists={list(self.twists)})")
-        return f"GradedFreeModule(arity={self.arity}, rank={self.rank})"
+        return (f"GradedFreeModule(arity={self.arity}, "
+                f"twists={list(self.twists)})")
 
 
 class FreeModuleElement:
@@ -110,8 +95,6 @@ class FreeModuleElement:
 
     def degree(self):
         """Twisted degree of a homogeneous nonzero element."""
-        if not self.module.graded:
-            raise InputError("degree undefined for ungraded elements")
         degs = set()
         for p, a in zip(self.components, self.module.twists):
             if p.is_zero():
@@ -248,11 +231,8 @@ def syzygies(gb):
     and the tracked quotients are returned as elements of ⊕_i S(-deg g_i).
     """
     elems, _ = eng.schreyer_syzygies(gb._engine_gb, gb._engine_order)
-    if gb.module.graded:
-        twists = [_engine_degree(g, gb.module.twists) for g in gb._engine_gb]
-        src = GradedFreeModule(gb.module.arity, twists)
-    else:
-        src = GradedFreeModule(gb.module.arity, rank=len(gb._engine_gb))
+    twists = [_engine_degree(g, gb.module.twists) for g in gb._engine_gb]
+    src = GradedFreeModule(gb.module.arity, twists)
     return [from_engine(g.d, src, divisor=g.lc) for g in elems]
 
 
@@ -260,8 +240,8 @@ def kernel_generators(columns, source_twists=None):
     """Generators of the kernel of the map  ⊕_j S(-t_j) -> F,  e_j -> c_j.
 
     ``source_twists`` fixes the grading of the source; when omitted it is
-    read off the column degrees (columns must then be nonzero in graded
-    mode).  Returns content-free integer elements of the source module.
+    read off the column degrees (columns must then be nonzero).  Returns
+    content-free integer elements of the source module.
     """
     if not columns:
         return []
@@ -269,12 +249,9 @@ def kernel_generators(columns, source_twists=None):
     for c in columns:
         if c.module != target:
             raise InputError("columns live in different free modules")
-    if target.graded:
-        if source_twists is None:
-            source_twists = [c.degree() for c in columns]
-        source = GradedFreeModule(target.arity, source_twists)
-    else:
-        source = GradedFreeModule(target.arity, rank=len(columns))
+    if source_twists is None:
+        source_twists = [c.degree() for c in columns]
+    source = GradedFreeModule(target.arity, source_twists)
     raw = eng.kernel_raw(to_engine_scaled(columns), target.rank, target.arity)
     return [from_engine(d, source) for d in raw]
 
@@ -309,7 +286,7 @@ class GradedModulePresentation:
     __slots__ = ("target", "relations", "_gb", "_minres")
 
     def __init__(self, target, relations, shift=0):
-        if shift and target.graded:
+        if shift:
             target = GradedFreeModule(target.arity,
                                       [a - shift for a in target.twists])
         self.target = target
@@ -320,8 +297,7 @@ class GradedModulePresentation:
             if any(pos >= target.rank or len(exps) != target.arity
                    for pos, exps in r):
                 raise InputError("relation does not match the target module")
-            if target.graded:
-                _degree(r, target.twists)
+            _degree(r, target.twists)
             rels.append(r)
         self.relations = tuple(rels)
         self._gb = None
@@ -331,19 +307,13 @@ class GradedModulePresentation:
     def arity(self):
         return self.target.arity
 
-    @property
-    def graded(self):
-        return self.target.graded
-
     @classmethod
     def free(cls, module):
         return cls(module, [])
 
     @classmethod
-    def zero(cls, arity, graded=True):
-        if graded:
-            return cls(GradedFreeModule(arity, []), [])
-        return cls(GradedFreeModule(arity, rank=0), [])
+    def zero(cls, arity):
+        return cls(GradedFreeModule(arity, []), [])
 
     def twisted(self, s):
         """The twisted module M(s)."""
@@ -423,8 +393,7 @@ class ResolutionData:
         """Twist multisets plus rendered matrices (the golden-test format)."""
         out = {"minimal": self.minimal, "terms": [], "maps": []}
         for F in self.terms:
-            out["terms"].append(F.twist_multiset() if F.graded
-                                else {"rank": F.rank})
+            out["terms"].append(F.twist_multiset())
         for k, cols in enumerate(self.maps):
             elems = [from_engine(d, self.terms[k], self.divisors[k])
                      for d in cols]
@@ -468,20 +437,15 @@ def _reduced(cols, divisor):
     return [{t: c // g for t, c in col.items()} for col in cols], divisor // g
 
 
-def free_resolution(pres, max_len=None, minimal=None):
+def free_resolution(pres, max_len=None, minimal=True):
     """Free resolution of a presented module by iterated Schreyer syzygies.
 
-    Graded presentations are minimalized (no unit entries remain); the
-    ungraded mode returns the raw chain.  Raises ResolutionLengthError if
-    the chain exceeds ``max_len`` steps (default: arity + 1, which suffices
+    Minimalized (no unit entries remain) unless ``minimal`` is False, which
+    returns the raw chain.  Raises ResolutionLengthError if the chain
+    exceeds ``max_len`` steps (default: arity + 1, which suffices
     by the sorted-Schreyer bound).
     """
     arity = pres.arity
-    graded = pres.graded
-    if minimal is None:
-        minimal = graded
-    if minimal and not graded:
-        raise InputError("minimal resolutions are only defined when graded")
     cap = max_len if max_len is not None else arity + 1
     F0 = pres.target
     gb, order0 = pres.relation_gb()
@@ -493,11 +457,8 @@ def free_resolution(pres, max_len=None, minimal=None):
     corder = order0
     ctwists = F0.twists
     while True:
-        if graded:
-            Fk = GradedFreeModule(arity,
-                                  [_engine_degree(g, ctwists) for g in current])
-        else:
-            Fk = GradedFreeModule(arity, rank=len(current))
+        Fk = GradedFreeModule(arity,
+                              [_engine_degree(g, ctwists) for g in current])
         terms.append(Fk)
         chain.append(current)
         if len(chain) > cap:
@@ -633,8 +594,6 @@ def _shifted_terms(pres):
 def hilbert_function(pres, degree):
     """dim_Q of the degree-d graded piece of the presented module:
     sum c_ji binom(d - a_j - i + l - 1, l - 1) over d - a_j - i >= 0."""
-    if not pres.graded:
-        raise InputError("Hilbert function needs a graded presentation")
     k = pres.arity - 1
     return sum(c * comb(degree - s + k, k)
                for s, c in _shifted_terms(pres) if s <= degree)
@@ -660,8 +619,6 @@ def total_dimension(pres, degree_cap=DEGREE_CAP):
 def hilbert_polynomial(pres):
     """Hilbert polynomial from the numerators:
     sum c_ji binom(t - a_j - i + l - 1, l - 1)."""
-    if not pres.graded:
-        raise InputError("Hilbert polynomial needs a graded presentation")
     k = pres.arity - 1
     return sum((binomial_poly(s, k) * c for s, c in _shifted_terms(pres)),
                UniPolyQ.zero())
@@ -686,9 +643,8 @@ def finite_length(pres, degree_cap=DEGREE_CAP):
 def _submodule_target(gens, ambient):
     """The free module with one generator per dict of ``gens``, graded by
     their degrees in ``ambient``."""
-    twists = ([_degree(g, ambient.twists) for g in gens] if ambient.graded
-              else None)
-    return GradedFreeModule(ambient.arity, twists, len(gens))
+    return GradedFreeModule(ambient.arity,
+                            [_degree(g, ambient.twists) for g in gens])
 
 
 def presentation_of_submodule(gens, ambient):
@@ -697,7 +653,7 @@ def presentation_of_submodule(gens, ambient):
     nonzero dict, related by the kernel of the map they span, found by POT
     elimination.
 
-    The submodules the library presents itself (D_0 and a chart's D, both
+    The submodules the library presents itself (D_0 and a point's D, both
     cut out by linear conditions on derivations, and the kernel
     `module_dual` presents) come as reduced POT Groebner bases and go
     through `presentation_of_basis` instead, which needs no elimination.
@@ -731,7 +687,7 @@ def module_dual(pres):
     kernel = eng.kernel_raw(_transpose(pres.relations, F0.rank),
                             len(pres.relations), F0.arity)
     if not kernel:
-        return GradedModulePresentation.zero(pres.arity, graded=F0.graded)
+        return GradedModulePresentation.zero(pres.arity)
     return presentation_of_basis(kernel, F0.dual())
 
 
@@ -742,13 +698,9 @@ def ext1_against_ring(pres):
     onto the kernel coordinates; only those m columns are tracked in the
     elimination (`kernel_raw(..., tracked=m)`), so it never builds the
     syzygies among the phi_1^T columns alone."""
-    graded = pres.graded
-    if graded:
-        res = pres.minimal_resolution()
-    else:
-        res = free_resolution(pres, minimal=False)
+    res = pres.minimal_resolution()
     if res.length == 0:
-        return GradedModulePresentation.zero(pres.arity, graded=graded)
+        return GradedModulePresentation.zero(pres.arity)
     F1d = res.terms[1].dual()
     phi1_T = _transpose(res.maps[0], res.terms[0].rank)
     if res.length == 1:
@@ -756,11 +708,9 @@ def ext1_against_ring(pres):
     phi2_T = _transpose(res.maps[1], res.terms[1].rank)
     kernel = eng.kernel_raw(phi2_T, res.terms[2].rank, pres.arity)
     if not kernel:
-        return GradedModulePresentation.zero(pres.arity, graded=graded)
-    m = len(kernel)
-    twists = [_degree(k, F1d.twists) for k in kernel] if graded else None
+        return GradedModulePresentation.zero(pres.arity)
     # relations: the syzygies of [kernel | phi1_T] projected onto the
     # kernel coordinates, the only ones the elimination tracks
-    syz = eng.kernel_raw(kernel + phi1_T, F1d.rank, pres.arity, tracked=m)
-    return GradedModulePresentation(GradedFreeModule(pres.arity, twists, m),
-                                    syz)
+    syz = eng.kernel_raw(kernel + phi1_T, F1d.rank, pres.arity,
+                         tracked=len(kernel))
+    return GradedModulePresentation(_submodule_target(kernel, F1d), syz)

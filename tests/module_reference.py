@@ -13,13 +13,20 @@ start from the library's non-minimal Schreyer resolution, read with
 `from_engine`.  Presentations are handed to the library class as integer
 term dicts (`to_engine`), and read back with `from_engine`.
 
-The library cuts D_0 and a chart's D out by linear conditions, one per
+The library cuts D_0 and a point's D out by linear conditions, one per
 hyperplane.  `derivation_module_d0` and `affine_n_value` below keep the
 earlier route through the partials of f: D_0 is the syzygy module of
-(f_1, ..., f_l), a chart's D the theta part of the kernel of
-(f_1, ..., f_l, f), each presented by POT elimination.
+(f_1, ..., f_l), the D of a point's central arrangement A'_q the theta part
+of the kernel of (f_1, ..., f_l, f), each presented by POT elimination.
 
-The library's eliminations for D_0, a chart's D and the relations of
+The library computes a point's N on A'_q, the localization at the point on
+the chart centred there, with graded modules.  `chart_n_value` keeps the
+earlier route: the localization dehomogenized on an affine chart, its D
+cut out by linear conditions with affine constants, dualized, resolved by
+a raw Schreyer chain and its Ext^1 counted, all ungraded and on the
+engine's term dicts.
+
+The library's eliminations for D_0, a point's D and the relations of
 Ext^1 give an identity position only to the coordinates they keep.
 `derivation_basis_all_columns` and `ext1_all_columns` keep the earlier
 routes, which track every column and project afterwards: the h_H are read
@@ -36,22 +43,21 @@ free resolution.
 """
 
 from fractions import Fraction
-from math import gcd
+from itertools import combinations
+from math import comb, gcd
 
 from logchern import groebner as eng
 from logchern import modules
-from logchern.errors import EngineError, HypothesisError, InputError
+from logchern.arrangements import Arrangement, localize
+from logchern.errors import (EngineError, HypothesisError, InputError,
+                             NotFiniteLengthError)
 from logchern.log_geometry import _linear_columns, defining_data
-from itertools import combinations
-from math import comb
-
-from logchern.errors import NotFiniteLengthError
 from logchern.modules import (DEGREE_CAP, FreeModuleElement,
                               GradedFreeModule, GradedModulePresentation,
                               ext1_against_ring, free_resolution,
                               from_engine, to_engine)
 from logchern.orders import TOPOrder
-from logchern.rings import UniPolyQ, binomial_poly
+from logchern.rings import MultiPoly, UniPolyQ, binomial_poly
 
 
 def to_engine_scaled(elem):
@@ -84,12 +90,9 @@ def kernel_generators(columns, source_twists=None):
     for c in columns:
         if c.module != target:
             raise InputError("columns live in different free modules")
-    if target.graded:
-        if source_twists is None:
-            source_twists = [c.degree() for c in columns]
-        source = GradedFreeModule(target.arity, source_twists)
-    else:
-        source = GradedFreeModule(target.arity, rank=len(columns))
+    if source_twists is None:
+        source_twists = [c.degree() for c in columns]
+    source = GradedFreeModule(target.arity, source_twists)
     scaled = [to_engine_scaled(c) for c in columns]
     raw = eng.kernel_raw([d for d, _ in scaled], target.rank, target.arity)
     factors = [f for _, f in scaled]
@@ -125,10 +128,7 @@ def presentation_of_submodule(gens):
     if not gens:
         raise InputError("cannot present a submodule from zero generators")
     ambient = gens[0].module
-    if ambient.graded:
-        target = GradedFreeModule(ambient.arity, [g.degree() for g in gens])
-    else:
-        target = GradedFreeModule(ambient.arity, rank=len(gens))
+    target = GradedFreeModule(ambient.arity, [g.degree() for g in gens])
     return _presentation(target, kernel_generators(gens))
 
 
@@ -140,16 +140,13 @@ def module_dual(pres):
     if not pres.relations:
         return GradedModulePresentation(F0_dual, [])
     rels = [from_engine(r, F0) for r in pres.relations]
-    if F0.graded:
-        F1 = GradedFreeModule(F0.arity, [r.degree() for r in rels])
-    else:
-        F1 = GradedFreeModule(F0.arity, rank=len(rels))
+    F1 = GradedFreeModule(F0.arity, [r.degree() for r in rels])
     F1_dual = F1.dual()
     cols_T = _transpose_columns(rels, F0, F1_dual)
     kernel = kernel_generators(cols_T, source_twists=F0_dual.twists)
     kernel = [k for k in kernel if not k.is_zero()]
     if not kernel:
-        return GradedModulePresentation.zero(pres.arity, graded=F0.graded)
+        return GradedModulePresentation.zero(pres.arity)
     gens = [FreeModuleElement(F0_dual, k.components) for k in kernel]
     return presentation_of_submodule(gens)
 
@@ -176,8 +173,7 @@ class ElementResolution:
         """The library's `ResolutionData.dump` format."""
         out = {"minimal": self.minimal, "terms": [], "maps": []}
         for F in self.terms:
-            out["terms"].append(F.twist_multiset() if F.graded
-                                else {"rank": F.rank})
+            out["terms"].append(F.twist_multiset())
         for k in range(len(self.maps)):
             grid = self.matrix(k)
             out["maps"].append([[p.render() for p in row] for row in grid])
@@ -286,10 +282,9 @@ def minimalize_resolution(res):
 
 def ext1_against_ring(pres):
     """Ext^1_S(M, S) as homology of the dualized resolution at step 1."""
-    graded = pres.graded
-    res = minimal_resolution(pres) if graded else schreyer_resolution(pres)
+    res = minimal_resolution(pres)
     if res.length == 0:
-        return GradedModulePresentation.zero(pres.arity, graded=graded)
+        return GradedModulePresentation.zero(pres.arity)
     F0, F1 = res.terms[0], res.terms[1]
     F0d, F1d = F0.dual(), F1.dual()
     phi1_T = _transpose_columns(res.maps[0], F0, F1d)
@@ -301,19 +296,12 @@ def ext1_against_ring(pres):
     kernel = kernel_generators(phi2_T, source_twists=F1d.twists)
     kernel = [k for k in kernel if not k.is_zero()]
     if not kernel:
-        return GradedModulePresentation.zero(pres.arity, graded=graded)
+        return GradedModulePresentation.zero(pres.arity)
     k_elems = [FreeModuleElement(F1d, k.components) for k in kernel]
     m = len(k_elems)
-    combined = k_elems + phi1_T
-    if graded:
-        src_twists = [k.degree() for k in k_elems] + list(F0d.twists)
-    else:
-        src_twists = None
-    syz = kernel_generators(combined, source_twists=src_twists)
-    if graded:
-        target = GradedFreeModule(pres.arity, [k.degree() for k in k_elems])
-    else:
-        target = GradedFreeModule(pres.arity, rank=m)
+    src_twists = [k.degree() for k in k_elems] + list(F0d.twists)
+    syz = kernel_generators(k_elems + phi1_T, source_twists=src_twists)
+    target = GradedFreeModule(pres.arity, [k.degree() for k in k_elems])
     return _presentation(target, [FreeModuleElement(target, s.components[:m])
                                   for s in syz])
 
@@ -322,7 +310,7 @@ def ext1_against_ring(pres):
 
 def _kernel_of_polys(polys, arity):
     """Integer term dicts generating the kernel of e_j -> polys[j] in S."""
-    S1 = GradedFreeModule(arity, rank=1)
+    S1 = GradedFreeModule(arity, [0])
     return eng.kernel_raw(
         modules.to_engine_scaled([S1.element([p]) for p in polys]), 1,
         arity)
@@ -340,28 +328,28 @@ def derivation_module_d0(dd):
 
 
 def affine_n_value(arr, degree_cap=DEGREE_CAP):
-    """N of an affine arrangement with D = ker(df, f): the theta part of
-    the kernel of (f_1, ..., f_l, f), presented by POT elimination and
-    dualized by the element route above."""
+    """N of a point from its central arrangement A'_q, with D = ker(df, f):
+    the theta part of the kernel of (f_1, ..., f_l, f), presented by POT
+    elimination and dualized by the element route above."""
     dd = defining_data(arr)
     arity = dd.arity
     kernel = _kernel_of_polys(dd.partials + (dd.f,), arity)
     d = modules.presentation_of_submodule(
         [{t: c for t, c in k.items() if t[0] < arity} for k in kernel],
-        GradedFreeModule(arity, rank=arity))
+        GradedFreeModule(arity, [0] * arity))
     ext1 = ext1_against_ring(module_dual(d))
     if krull_dim(ext1) > 0:
         raise HypothesisError("affine non-free locus is not zero-dimensional")
     return finite_length(ext1, degree_cap=degree_cap)
 
 
-# ----- D_0, chart D and Ext^1 with every column tracked -----
+# ----- D_0, a point's D and Ext^1 with every column tracked -----
 
-def derivation_basis_all_columns(arr):
-    """The reduced POT basis of D_0 (central) or of a chart's D (affine):
-    the kernel of the linear map with an identity position for every g_i
-    and h_H, checked whole by `in_kernel`, then cut to the theta parts."""
-    columns, rows = _linear_columns(arr)
+def derivation_basis_all_columns(arr, d0):
+    """The reduced POT basis of D_0 (``d0``) or of D: the kernel of the
+    linear map with an identity position for every g_i and h_H, checked
+    whole by `in_kernel`, then cut to the theta parts."""
+    columns, rows = _linear_columns(arr, d0)
     kernel = eng.kernel_raw(columns, rows, arr.dim)
     if not eng.in_kernel(kernel, columns, arr.dim):
         raise EngineError("alleged syzygy does not annihilate f")
@@ -372,11 +360,9 @@ def ext1_all_columns(pres):
     """Ext^1_S(M, S) on the kernel of phi_2^T, its relations the syzygies
     of [kernel | phi_1^T] with every column tracked, cut to the kernel
     coordinates."""
-    graded = pres.graded
-    res = (pres.minimal_resolution() if graded
-           else free_resolution(pres, minimal=False))
+    res = pres.minimal_resolution()
     if res.length == 0:
-        return GradedModulePresentation.zero(pres.arity, graded=graded)
+        return GradedModulePresentation.zero(pres.arity)
     F1d = res.terms[1].dual()
     phi1_T = modules._transpose(res.maps[0], res.terms[0].rank)
     if res.length == 1:
@@ -384,13 +370,12 @@ def ext1_all_columns(pres):
     phi2_T = modules._transpose(res.maps[1], res.terms[1].rank)
     kernel = eng.kernel_raw(phi2_T, res.terms[2].rank, pres.arity)
     if not kernel:
-        return GradedModulePresentation.zero(pres.arity, graded=graded)
+        return GradedModulePresentation.zero(pres.arity)
     m = len(kernel)
-    twists = ([modules._degree(k, F1d.twists) for k in kernel] if graded
-              else None)
+    twists = [modules._degree(k, F1d.twists) for k in kernel]
     syz = eng.kernel_raw(kernel + phi1_T, F1d.rank, pres.arity)
     return GradedModulePresentation(
-        GradedFreeModule(pres.arity, twists, m),
+        GradedFreeModule(pres.arity, twists),
         [{t: c for t, c in s.items() if t[0] < m} for s in syz])
 
 
@@ -420,20 +405,19 @@ def _count_standard(arity, n, lead_gens):
 
 def hilbert_function(pres, degree):
     """dim_Q of the degree-d piece: standard monomials per position."""
-    if not pres.graded:
-        raise InputError("Hilbert function needs a graded presentation")
     leads = pres.lead_exponents()
     return sum(_count_standard(pres.arity, degree - a, leads[j])
                for j, a in enumerate(pres.target.twists))
 
 
-def total_dimension(pres, degree_cap=DEGREE_CAP):
-    """Standard monomials counted degree by degree, per position, until a
-    degree has none; past ``degree_cap`` the count stops."""
+def _staircase_size(leads, arity, degree_cap):
+    """Standard monomials of the leading ideals ``leads``, one per
+    position, counted degree by degree until a degree has none; past
+    ``degree_cap`` the count stops."""
     total = 0
-    for gens in pres.lead_exponents():
+    for gens in leads:
         n = 0
-        while (c := _count_standard(pres.arity, n, gens)):
+        while (c := _count_standard(arity, n, gens)):
             total += c
             n += 1
             if n > degree_cap:
@@ -443,11 +427,14 @@ def total_dimension(pres, degree_cap=DEGREE_CAP):
     return total
 
 
+def total_dimension(pres, degree_cap=DEGREE_CAP):
+    """Standard monomials counted degree by degree, per position."""
+    return _staircase_size(pres.lead_exponents(), pres.arity, degree_cap)
+
+
 def hilbert_polynomial(pres):
     """sum_i (-1)^i sum_j binom(t - a_ij + l - 1, l - 1) over the twists
     a_ij of the minimal free resolution."""
-    if not pres.graded:
-        raise InputError("Hilbert polynomial needs a graded presentation")
     out = UniPolyQ.zero()
     for i, F in enumerate(pres.minimal_resolution().terms):
         for a in F.twists:
@@ -456,20 +443,25 @@ def hilbert_polynomial(pres):
     return out
 
 
-def krull_dim(pres):
+def _leading_krull_dim(leads, arity):
     """The largest number of variables whose monomials avoid the leading
-    ideal at some position; -1 for the zero module."""
-    zero = (0,) * pres.arity
+    ideal ``leads[j]`` at some position j; -1 for the zero module."""
+    zero = (0,) * arity
     best = -1
-    for gens in pres.lead_exponents():
+    for gens in leads:
         if zero in gens:
             continue  # this position presents the zero summand
         supports = [frozenset(i for i, e in enumerate(g) if e) for g in gens]
         best = max(best, next(
-            size for size in range(pres.arity, -1, -1)
+            size for size in range(arity, -1, -1)
             if any(not any(s <= set(T) for s in supports)
-                   for T in combinations(range(pres.arity), size))))
+                   for T in combinations(range(arity), size))))
     return best
+
+
+def krull_dim(pres):
+    """Krull dimension from the leading terms, by variable subsets."""
+    return _leading_krull_dim(pres.lead_exponents(), pres.arity)
 
 
 def finite_length(pres, degree_cap=DEGREE_CAP):
@@ -477,3 +469,115 @@ def finite_length(pres, degree_cap=DEGREE_CAP):
     if krull_dim(pres) > 0:
         raise NotFiniteLengthError("module is not finite length")
     return total_dimension(pres, degree_cap=degree_cap)
+
+
+# ----- a point's N on an affine chart, ungraded -----
+
+def chart_arrangement(arr, flat, chart=None):
+    """The localization at a rank-(l-1) flat, dehomogenized on a coordinate
+    chart of PV that contains the flat's projective point."""
+    sub = localize(arr, flat)
+    direction = flat.subspace_basis()
+    if len(direction) != 1:
+        raise InputError("chart construction needs a codimension l-1 flat")
+    v = direction[0]
+    if chart is None:
+        chart = next(i for i, x in enumerate(v) if x != 0)
+    elif not 0 <= chart < arr.dim or v[chart] == 0:
+        raise InputError(
+            f"chart {chart} does not contain the point of this flat")
+    return Arrangement(arr.dim - 1,
+                       [a[:chart] + a[chart + 1:] for a in sub.normals],
+                       constants=[-a[chart] for a in sub.normals])
+
+
+def _affine_columns(arr):
+    """The linear map of a chart's D: row H is
+    sum_i a_{H,i} g_i - (a_H.z - c_H) h_H, columns g_i then h_H."""
+    l = arr.dim
+    zero = (0,) * l
+    units = [tuple(int(i == k) for i in range(l)) for k in range(l)]
+    cols = [{(H, zero): a[i] for H, a in enumerate(arr.normals) if a[i]}
+            for i in range(l)]
+    for H, (a, c) in enumerate(zip(arr.normals, arr.constants)):
+        col = {(H, units[k]): -x for k, x in enumerate(a) if x}
+        if c:
+            col[(H, zero)] = c
+        cols.append(col)
+    return cols, arr.n
+
+
+def _check_affine_derivations(arr, basis):
+    """Every theta of ``basis`` satisfies alpha_H | theta(alpha_H), the
+    division done on `MultiPoly`."""
+    l = arr.dim
+    for j, theta in enumerate(basis):
+        comps = [{} for _ in range(l)]
+        for (i, exps), c in theta.items():
+            comps[i][exps] = c
+        for H, (a, c) in enumerate(zip(arr.normals, arr.constants)):
+            image = MultiPoly.zero(l)
+            for i, x in enumerate(a):
+                if x:
+                    image = image + MultiPoly(l, comps[i]) * x
+            alpha = MultiPoly.linear_form(a) - MultiPoly.constant(l, c)
+            try:
+                image.divide_exact(alpha)
+            except InputError:
+                raise EngineError(
+                    f"derivation {j} does not annihilate f: alpha_{H} does "
+                    f"not divide theta(alpha_{H})") from None
+
+
+def _ungraded_dual(relations, rank, arity):
+    """Hom_S of coker(relations) into S, ungraded: ``(relations, rank)``
+    of the kernel of the transposed map, a reduced POT basis presented by
+    its S-pair syzygies."""
+    if not relations:
+        return [], rank
+    kernel = eng.kernel_raw(modules._transpose(relations, rank),
+                            len(relations), arity)
+    return eng.basis_syzygies(kernel, arity), len(kernel)
+
+
+def _ungraded_ext1(relations, rank, arity):
+    """Ext^1_S(M, S) of M = coker(relations) from the raw Schreyer chain,
+    as ``(relations, rank)``."""
+    order = TOPOrder(arity)
+    gb = eng.buchberger(relations, order) if relations else []
+    if not gb:
+        return [], 0
+    phi1 = eng.schreyer_sort(gb)
+    syz, order1 = eng.schreyer_syzygies(phi1, order)
+    phi1_T = modules._transpose([g.d for g in phi1], rank)
+    if not syz:
+        return phi1_T, len(phi1)
+    phi2 = eng.schreyer_sort(syz)
+    phi2_T = modules._transpose([g.d for g in phi2], len(phi1))
+    kernel = eng.kernel_raw(phi2_T, len(phi2), arity)
+    if not kernel:
+        return [], 0
+    return (eng.kernel_raw(kernel + phi1_T, len(phi1), arity,
+                           tracked=len(kernel)), len(kernel))
+
+
+def chart_n_value(arr, flat, chart=None, degree_cap=DEGREE_CAP):
+    """N of the point of ``flat`` on the affine chart ``chart``: D of the
+    chart arrangement from the affine linear map, its dual, and the length
+    of the Ext^1 of that dual counted on an ungraded staircase."""
+    aff = chart_arrangement(arr, flat, chart)
+    arity = aff.dim
+    columns, rows = _affine_columns(aff)
+    basis = eng.kernel_raw(columns, rows, arity, tracked=arity)
+    _check_affine_derivations(aff, basis)
+    dual = _ungraded_dual(eng.basis_syzygies(basis, arity), len(basis),
+                          arity)
+    relations, rank = _ungraded_ext1(*dual, arity)
+    leads = [[] for _ in range(rank)]
+    for g in (eng.buchberger(relations, TOPOrder(arity)) if relations
+              else []):
+        leads[g.lpos].append(g.lexps)
+    leads = [modules._minimal_monomials(gens) for gens in leads]
+    if _leading_krull_dim(leads, arity) > 0:
+        raise HypothesisError("affine non-free locus is not zero-dimensional")
+    return _staircase_size(leads, arity, degree_cap)

@@ -300,6 +300,24 @@ def test_resolution_maps_match_the_golden_file(name):
     assert json.loads(render(report, "json"))["result"] == golden[name]
 
 
+NVAL_GOLDEN = Path(__file__).parent / "data" / "nval_golden.json"
+FRONTIER = Path(__file__).parent / "data" / "frontier"
+
+
+@pytest.mark.parametrize("name", [name for name, _ in bundled_examples()]
+                         + sorted(p.stem for p in FRONTIER.glob("*.json")))
+def test_nval_reports_match_the_golden_file(name):
+    # N, the per-point values and the freeness of Omega^1_0; CI compares
+    # the installed script (bundled examples) and the frontier inputs with
+    # the same file
+    frontier = FRONTIER / f"{name}.json"
+    spec = str(frontier) if frontier.exists() else f"example:{name}"
+    report, code = run(_job("nval", spec, fmt="json"))
+    assert code == 0
+    golden = json.loads(NVAL_GOLDEN.read_text())[name]
+    assert json.loads(render(report, "json"))["result"] == golden
+
+
 LATTICE_GOLDEN = Path(__file__).parent / "data" / "lattice_golden.json"
 
 
@@ -354,11 +372,11 @@ def test_lattice_command_counts():
                          ["verify", "nval", "modules", "chern", "resolution"])
 def test_each_job_builds_every_log_module_once(command, monkeypatch):
     calls = Counter()
+    local_duals = Counter()
 
-    def counted(name, fn, central_only=False):
+    def counted(name, fn):
         def wrapper(*args, **kwargs):
-            if not central_only or args[0].graded:
-                calls[name] += 1
+            calls[name] += 1
             return fn(*args, **kwargs)
         return wrapper
 
@@ -366,15 +384,24 @@ def test_each_job_builds_every_log_module_once(command, monkeypatch):
                  "relative_log_forms", "log_forms"):
         monkeypatch.setattr(log_geometry, name,
                             counted(name, getattr(log_geometry, name)))
-    # affine charts of the per-point check dualize their own D
-    monkeypatch.setattr(log_geometry, "module_dual",
-                        counted("module_dual", log_geometry.module_dual,
-                                central_only=True))
+    real_dual = log_geometry.module_dual
+
+    # the per-point check dualizes the D of each point's A'_q, which has
+    # l - 1 = 3 variables
+    def counted_dual(pres):
+        if pres.arity == 4:
+            calls["module_dual"] += 1
+        else:
+            local_duals[pres.arity] += 1
+        return real_dual(pres)
+    monkeypatch.setattr(log_geometry, "module_dual", counted_dual)
     report, code = run(_job(command, "example:nonfree_octic"))
     assert code == 0
     assert calls == {"derivation_module_d0": 1, "log_derivations": 1,
                      "relative_log_forms": 1, "log_forms": 1,
                      "module_dual": 1}
+    # one per distinct A'_q: 13 for the octic's 18 points
+    assert local_duals == ({3: 13} if command == "nval" else {})
 
 
 def test_degree_cap_boundary_is_the_rich_points_staircase():

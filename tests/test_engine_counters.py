@@ -28,9 +28,9 @@ LINES_FIXED = [[1, -2, 6], [9, -9, -5], [3, 9, 0], [8, 4, -3], [6, -7, -9],
 # (s_pairs, zero_reductions, basis_elements, max_degree)
 PINNED = [
     ("verify", "octic", (56, 29, 68, 6)),
-    ("nval", "octic", (114, 51, 254, 6)),
+    ("nval", "octic", (109, 49, 220, 6)),
     ("verify", "generic6_l4", (92, 54, 77, 4)),
-    ("nval", "generic6_l4", (150, 84, 242, 4)),
+    ("nval", "generic6_l4", (150, 84, 232, 4)),
     ("verify", "lines_fixed", (56, 25, 63, 5)),
 ]
 
@@ -65,7 +65,7 @@ def test_ext1_of_d0_counters_are_pinned():
             stats.max_degree) == (108, 53, 113, 5)
 
 
-@pytest.mark.parametrize("command,calls", [("verify", 136), ("nval", 453),
+@pytest.mark.parametrize("command,calls", [("verify", 136), ("nval", 383),
                                            ("modules", 156)])
 def test_every_reduction_goes_through_reduce_full(monkeypatch, command,
                                                   calls):

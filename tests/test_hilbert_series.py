@@ -10,7 +10,7 @@ from logchern import (GradedFreeModule, GradedModulePresentation,
                       finite_length, hilbert_function, hilbert_polynomial,
                       krull_dim, log_modules, module_dual)
 from logchern.cli import load_arrangement
-from logchern.log_geometry import _derivation_basis, chart_arrangement
+from logchern.log_geometry import _centred_localization, _derivation_basis
 from logchern.modules import presentation_of_basis, total_dimension
 from tests import module_reference as ref
 from tests.test_module_reference import _exponents
@@ -32,33 +32,26 @@ def _assert_matches_oracles(pres):
         for query, oracle in ((total_dimension, ref.total_dimension),
                               (finite_length, ref.finite_length)):
             assert _outcome(query, pres, cap) == _outcome(oracle, pres, cap)
-    if pres.graded:
-        assert [hilbert_function(pres, d) for d in DEGREES] == \
-            [ref.hilbert_function(pres, d) for d in DEGREES]
-        assert hilbert_polynomial(pres) == ref.hilbert_polynomial(pres)
+    assert [hilbert_function(pres, d) for d in DEGREES] == \
+        [ref.hilbert_function(pres, d) for d in DEGREES]
+    assert hilbert_polynomial(pres) == ref.hilbert_polynomial(pres)
 
 
 @st.composite
 def quotients(draw):
-    """F / (relations) over 2-4 variables: rank 1-3, up to five monomial or
-    binomial relations with coefficients in [-3, 3], and in half the draws
-    powers of every variable.  Graded: twists -1 to 2, relations of one
-    twisted degree; ungraded: any terms of degree <= 3, as in an affine
-    chart."""
+    """F / (relations) over 2-4 variables: rank 1-3, twists -1 to 2, up to
+    five monomial or binomial relations of one twisted degree with
+    coefficients in [-3, 3], and in half the draws powers of every
+    variable."""
     arity = draw(st.integers(2, 4))
     rank = draw(st.integers(1, 3))
-    graded = draw(st.booleans())
     twists = draw(st.lists(st.integers(-1, 2), min_size=rank,
-                           max_size=rank)) if graded else None
+                           max_size=rank))
     rels = []
     for _ in range(draw(st.integers(0, 5))):
-        if graded:
-            degree = draw(st.integers(min(twists), min(twists) + 3))
-            terms = [(pos, e) for pos, a in enumerate(twists) if degree >= a
-                     for e in _exponents(arity, degree - a)]
-        else:
-            terms = [(pos, e) for pos in range(rank) for d in range(4)
-                     for e in _exponents(arity, d)]
+        degree = draw(st.integers(min(twists), min(twists) + 3))
+        terms = [(pos, e) for pos, a in enumerate(twists) if degree >= a
+                 for e in _exponents(arity, degree - a)]
         support = draw(st.lists(st.sampled_from(terms), min_size=1,
                                 max_size=2, unique=True))
         coeffs = draw(st.lists(st.integers(-3, 3).filter(bool),
@@ -71,8 +64,7 @@ def quotients(draw):
                 e = draw(st.integers(1, 3))
                 rels.append({(pos, tuple(e * (k == i)
                                          for k in range(arity))): 1})
-    return GradedModulePresentation(GradedFreeModule(arity, twists, rank),
-                                    rels)
+    return GradedModulePresentation(GradedFreeModule(arity, twists), rels)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -82,11 +74,12 @@ def test_numerators_match_the_staircase_oracles(pres):
 
 
 def _chart_ext1s(arr):
-    """The Ext^1 of every chart's Omega^1, whose lengths sum to N."""
+    """The Ext^1 of D^* for every point's A'_q, whose lengths sum to N."""
     for flat in build_lattice(arr).flats_of_codim(arr.dim - 1):
-        aff = chart_arrangement(arr, flat)
-        d = presentation_of_basis(_derivation_basis(aff),
-                                  GradedFreeModule(aff.dim, rank=aff.dim))
+        local = _centred_localization(arr, flat)
+        d = presentation_of_basis(_derivation_basis(local, d0=False),
+                                  GradedFreeModule(local.dim,
+                                                   [0] * local.dim))
         yield ext1_against_ring(module_dual(d))
 
 
@@ -95,7 +88,7 @@ def _chart_ext1s(arr):
     "generic_5_hyperplanes", "nonfree_octic", "three_lines"])
 def test_log_modules_match_the_staircase_oracles(name):
     # D_0, D, Omega^1, Omega^1_0, their duals, the Ext^1 of each, and the
-    # charts' Ext^1
+    # points' Ext^1
     arr = load_arrangement(f"example:{name}")
     _, *lms = log_modules(arr)
     for lm in lms:
@@ -107,7 +100,7 @@ def test_log_modules_match_the_staircase_oracles(name):
 
 
 def test_octic_plus1_n_route_matches_the_staircase_oracles():
-    # Ext^1 of Omega^1_0 and of 40 charts, which N is read from, and
+    # Ext^1 of Omega^1_0 and of 40 points' A'_q, which N is read from, and
     # Ext^1 of D_0 (minimal resolution ranks 9, 8, 2)
     arr = load_arrangement("tests/data/frontier/octic_plus1.json")
     _, d0, _, _, om0 = log_modules(arr)

@@ -1,6 +1,7 @@
-"""D_0 and the chart modules D cut out by linear conditions, one per
+"""D_0 and the points' modules D cut out by linear conditions, one per
 hyperplane, against the route through the partials of f kept in
-``tests/module_reference.py``; the exact kernel check; and inputs that the
+``tests/module_reference.py``; each point's N against the ungraded affine
+chart route kept there; the exact kernel check; and inputs that the
 partials route could not finish."""
 
 from pathlib import Path
@@ -10,10 +11,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from logchern import (Arrangement, EngineError, InputError, affine_n_value,
-                      build_lattice, defining_data, derivation_module_d0,
-                      log_geometry, module_dual)
+                      defining_data, derivation_module_d0, log_geometry,
+                      module_dual, per_flat_n_values)
 from logchern.cli import JobConfig, run
-from logchern.log_geometry import chart_arrangement
+from logchern.log_geometry import _centred_localization
 from tests import module_reference as ref
 from tests.conftest import OCTIC_NORMALS, braid
 
@@ -52,9 +53,12 @@ def _assert_routes_agree(arr):
     assert _basis_dicts(d0.presentation) == _basis_dicts(pres)
     assert module_dual(d0.presentation).relations == \
         module_dual(pres).relations
-    for flat in build_lattice(arr).flats_of_codim(arr.dim - 1):
-        aff = chart_arrangement(arr, flat)
-        assert affine_n_value(aff) == ref.affine_n_value(aff), flat
+    # each point's N on A'_q, graded, against the partials route on A'_q
+    # and the ungraded route on the affine chart
+    for flat, n in per_flat_n_values(arr).items():
+        local = _centred_localization(arr, flat)
+        assert n == ref.affine_n_value(local), flat
+        assert n == ref.chart_n_value(arr, flat), flat
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -97,11 +101,11 @@ def test_a_wrong_d0_kernel_vector_fails_the_exact_check(monkeypatch,
 
 
 def test_a_wrong_chart_kernel_vector_fails_the_exact_check(monkeypatch):
-    aff = Arrangement(3, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 1)],
-                      constants=[0, 0, 1, 2])
+    # a point's A'_q: four lines through the origin of its chart
+    local = Arrangement(2, [(1, 0), (0, 1), (1, 1), (1, -1)])
     _corrupting(monkeypatch)
     with pytest.raises(EngineError, match="does not annihilate f: alpha_"):
-        affine_n_value(aff)
+        affine_n_value(local)
 
 
 def _job(command, name):

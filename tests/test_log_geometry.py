@@ -11,8 +11,9 @@ from logchern import (Arrangement, InputError,
                       log_forms, log_modules, module_dual, nonfree_locus,
                       per_flat_n_values, relative_log_forms)
 from logchern import log_geometry, modules
-from logchern.log_geometry import chart_arrangement
+from logchern.log_geometry import _centred_localization
 from logchern.modules import hilbert_numerators, krull_dim
+from tests import module_reference as ref
 from tests import wedge_reference as wedge
 from tests.conftest import BRAID_TRIPLE, GENERIC4, GENERIC5, boolean
 
@@ -255,9 +256,9 @@ def test_affine_n_on_chart_of_nonfree_point(octic_arrangement, octic_lattice):
     flats = {tuple(sorted(f.indices)): f
              for f in octic_lattice.flats_of_codim(3)}
     rich = flats[(0, 1, 2, 6, 7)]  # the point [0:0:0:1]
-    aff = chart_arrangement(octic_arrangement, rich)
-    assert not aff.is_central
-    assert affine_n_value(aff) == 2
+    local = _centred_localization(octic_arrangement, rich)
+    assert local.is_central and local.dim == 3 and local.n == 5
+    assert affine_n_value(local) == 2
 
 
 def test_chart_override_invariance(octic_arrangement, octic_lattice):
@@ -269,24 +270,26 @@ def test_chart_override_invariance(octic_arrangement, octic_lattice):
         direction = rich.subspace_basis()[0]
         if direction[chart] == 0:
             with pytest.raises(InputError):
-                chart_arrangement(octic_arrangement, rich, chart=chart)
+                _centred_localization(octic_arrangement, rich, chart=chart)
             continue
-        aff = chart_arrangement(octic_arrangement, rich, chart=chart)
-        values.add(affine_n_value(aff))
+        local = _centred_localization(octic_arrangement, rich, chart=chart)
+        values.add(affine_n_value(local))
+        values.add(ref.chart_n_value(octic_arrangement, rich, chart=chart))
     assert values == {1}
 
 
 def test_per_flat_takes_one_affine_n_per_distinct_chart(
         octic_arrangement, octic_lattice, monkeypatch):
+    # 18 points, whose A'_q have 13 distinct normal lists
     charts = []
 
     def counted(arr, **kwargs):
-        charts.append((arr.normals, arr.constants))
+        charts.append(arr.normals)
         return affine_n_value(arr, **kwargs)
     monkeypatch.setattr(log_geometry, "affine_n_value", counted)
     values = per_flat_n_values(octic_arrangement, lattice=octic_lattice)
     assert len(values) == 18
-    assert len(charts) == len(set(charts)) == 16
+    assert len(charts) == len(set(charts)) == 13
     assert sum(values.values()) == 3
     assert sorted(v for v in values.values() if v) == [1, 2]
 
@@ -301,7 +304,7 @@ def test_affine_n_reads_the_hilbert_numerators_twice_per_chart(
         return hilbert_numerators(pres)
     monkeypatch.setattr(modules, "hilbert_numerators", counted)
     per_flat_n_values(octic_arrangement, lattice=octic_lattice)
-    assert len(calls) == 2 * 16
+    assert len(calls) == 2 * 13
 
 
 def test_per_flat_requires_central():

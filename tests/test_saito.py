@@ -1,11 +1,10 @@
 """Saito's criterion on the generators a minimal resolution keeps."""
 
 import json
-from itertools import permutations
 
 import pytest
 
-from logchern import (Arrangement, EngineError, MultiPoly, defining_data,
+from logchern import (Arrangement, EngineError, defining_data,
                       derivation_module_d0, freeness_test, groebner_basis,
                       log_geometry, normal_form)
 from logchern.cli import JobConfig, main, run
@@ -66,12 +65,14 @@ def test_kept_defaults_to_every_generator_without_minimalization():
                                   "boolean5", "braid_a3", "braid_a4", "b3",
                                   "d4", "line"])
 def test_a_free_d0_takes_one_saito_determinant(name, monkeypatch):
+    # the braid arrangements contain e_1 - e_2, which vanishes at
+    # (1, t, ..., t^(l-1)) for t = 1: their check evaluates at t = 2
     calls = []
     real = log_geometry._saito_check
 
-    def counted(dd, rows):
-        calls.append(len(rows))
-        return real(dd, rows)
+    def counted(dd, vectors):
+        calls.append(len(vectors))
+        return real(dd, vectors)
 
     monkeypatch.setattr(log_geometry, "_saito_check", counted)
     d0 = _d0(name)
@@ -81,17 +82,20 @@ def test_a_free_d0_takes_one_saito_determinant(name, monkeypatch):
     assert calls == [d0.defining.arity]
 
 
+def _times_x(vector):
+    """x times a term dict over S^3."""
+    return {(i, (e[0] + 1,) + e[1:]): c for (i, e), c in vector.items()}
+
+
 def test_the_saito_check_rejects_rows_that_are_not_a_basis():
     dd = defining_data(boolean(3))
     d0 = derivation_module_d0(dd)
-    chi = dd.euler_coefficients()
-    rows = [chi] + [list(d0.generators[i].components)
-                    for i in d0.minimal_resolution().kept]
+    chi = log_geometry._euler_vector(3)
+    rows = [chi] + [d0.vectors[i] for i in d0.minimal_resolution().kept]
     assert log_geometry._saito_check(dd, rows)
     # determinant 0, then x times c*f
     assert not log_geometry._saito_check(dd, [chi, chi, rows[2]])
-    assert not log_geometry._saito_check(
-        dd, rows[:2] + [[chi[0] * p for p in rows[2]]])
+    assert not log_geometry._saito_check(dd, rows[:2] + [_times_x(rows[2])])
 
 
 def test_a_failed_saito_determinant_is_an_engine_error(monkeypatch, capsys):
@@ -109,24 +113,3 @@ def test_a_failed_saito_determinant_is_an_engine_error(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert json.loads(out)["error"]["type"] == "engine"
     assert "Traceback" not in out + err
-
-
-def test_det_matches_the_leibniz_sum():
-    # a 4x4 matrix of linear and quadratic forms with zero entries, so
-    # some minors are shared and some expansion terms vanish
-    x, y, z = (MultiPoly.variable(3, i) for i in range(3))
-    zero = MultiPoly.zero(3)
-    rows = [[x, y, zero, z * z],
-            [zero, x + y, z, y],
-            [y * z, zero, x - z, zero],
-            [z, x * y, y, x + y + z]]
-    leibniz = zero
-    for perm in permutations(range(4)):
-        sign = (-1) ** sum(perm[i] > perm[j]
-                           for i in range(4) for j in range(i + 1, 4))
-        term = MultiPoly.constant(3, sign)
-        for i, j in enumerate(perm):
-            term = term * rows[i][j]
-        leibniz = leibniz + term
-    assert not leibniz.is_zero()
-    assert log_geometry._det(rows) == leibniz

@@ -1,5 +1,5 @@
 """Eliminations that track only the coordinates their callers keep: the
-projected kernels of `groebner.kernel_raw`, D_0 and the charts' D, and
+projected kernels of `groebner.kernel_raw`, D_0 and the points' D, and
 Ext^1, against the routes of ``tests/module_reference.py`` that track every
 column; and the exact check that divides theta(alpha_H) by alpha_H."""
 
@@ -14,8 +14,9 @@ from logchern import (Arrangement, EngineError, GradedFreeModule,
                       log_modules, module_dual)
 from logchern.cli import load_arrangement
 from logchern.groebner import buchberger, kernel_raw
-from logchern.log_geometry import (_check_log_derivations, _derivation_basis,
-                                   _divide_by_form, chart_arrangement)
+from logchern.log_geometry import (_centred_localization,
+                                   _check_log_derivations, _derivation_basis,
+                                   _divide_by_form)
 from logchern.modules import hilbert_numerators, presentation_of_basis
 from logchern.orders import FIELD_BITS, POTOrder
 from tests import module_reference as ref
@@ -84,19 +85,20 @@ def _assert_same_ext1(pres):
 
 def _assert_tracked_routes_agree(arr, ext1_central=True):
     # the same reduced basis, dict for dict, term order and basis order
-    basis = _derivation_basis(arr)
-    assert _items(basis) == _items(ref.derivation_basis_all_columns(arr))
+    basis = _derivation_basis(arr, d0=True)
+    assert _items(basis) == \
+        _items(ref.derivation_basis_all_columns(arr, d0=True))
     if ext1_central:
         _, d0, _, _, om0 = log_modules(arr)
         _assert_same_ext1(d0.presentation)
         _assert_same_ext1(om0.presentation)
     for flat in build_lattice(arr).flats_of_codim(arr.dim - 1):
-        aff = chart_arrangement(arr, flat)
-        basis = _derivation_basis(aff)
+        local = _centred_localization(arr, flat)
+        basis = _derivation_basis(local, d0=False)
         assert _items(basis) == \
-            _items(ref.derivation_basis_all_columns(aff)), flat
-        d = presentation_of_basis(basis, GradedFreeModule(aff.dim,
-                                                          rank=aff.dim))
+            _items(ref.derivation_basis_all_columns(local, d0=False)), flat
+        d = presentation_of_basis(basis, GradedFreeModule(local.dim,
+                                                          [0] * local.dim))
         _assert_same_ext1(module_dual(d))
 
 
@@ -127,19 +129,21 @@ def _packed(exps):
     return sum(e << FIELD_BITS * i for i, e in enumerate(exps))
 
 
-def test_synthetic_division_by_an_affine_form():
-    # (2x + 3y - 1)(x^2 - y) = 2x^3 + 3x^2y - x^2 - 2xy - 3y^2 + y
-    p = {_packed(e): c for e, c in [((3, 0), 2), ((2, 1), 3), ((2, 0), -1),
-                                    ((1, 1), -2), ((0, 2), -3),
-                                    ((0, 1), 1)]}
-    assert _divide_by_form(p, (2, 3), 1) == {_packed((2, 0)): 1,
-                                             _packed((0, 1)): -1}
-    # the same product plus x: a nonzero remainder
-    p[_packed((1, 0))] = 1
-    assert _divide_by_form(p, (2, 3), 1) is None
+def test_synthetic_division_by_a_linear_form():
+    # (2x + 3y)(x^2 - xy + y^2) = 2x^3 + x^2y - xy^2 + 3y^3
+    p = {_packed(e): c for e, c in [((3, 0), 2), ((2, 1), 1), ((1, 2), -1),
+                                    ((0, 3), 3)]}
+    assert _divide_by_form(p, (2, 3)) == {_packed((2, 0)): 1,
+                                          _packed((1, 1)): -1,
+                                          _packed((0, 2)): 1}
+    # the same product plus y^3: a nonzero remainder
+    p[_packed((0, 3))] = 4
+    assert _divide_by_form(p, (2, 3)) is None
     # x is not an integer multiple of 2x + 3y
-    assert _divide_by_form({_packed((1, 0)): 1}, (2, 3), 0) is None
-    assert _divide_by_form({}, (0, 1), 5) == {}
+    assert _divide_by_form({_packed((1, 0)): 1}, (2, 3)) is None
+    # y is 1/3 of (0x + 3y): a division, but not in integers
+    assert _divide_by_form({_packed((0, 1)): 1}, (0, 3)) is None
+    assert _divide_by_form({}, (0, 1)) == {}
 
 
 def _chi(l):
@@ -151,11 +155,14 @@ def test_euler_derivation_fails_only_the_sum_row(octic_arrangement):
     with pytest.raises(EngineError,
                        match="derivation 0 does not annihilate f: the "
                              "quotients .* do not sum to 0"):
-        _check_log_derivations(octic_arrangement, [_chi(4)])
-    # a chart has no sum row, and x + 1 does not divide chi(x + 1) = x
-    aff = Arrangement(2, [(1, 0), (0, 1)], constants=[-1, 0])
+        _check_log_derivations(octic_arrangement, [_chi(4)], d0=True)
+    # a point's D has no sum row: chi lies in it
+    _check_log_derivations(octic_arrangement, [_chi(4)], d0=False)
+    # and d/dy does not, as y does not divide d/dy(y) = 1
+    lines = Arrangement(2, [(1, 0), (0, 1)])
     with pytest.raises(EngineError,
-                       match="does not annihilate f: alpha_0 does not "
-                             "divide theta"):
-        _check_log_derivations(aff, [_chi(2)])
+                       match="derivation 1 does not annihilate f: alpha_1 "
+                             "does not divide theta"):
+        _check_log_derivations(lines, [_chi(2), {(1, (0, 0)): 1}],
+                               d0=False)
 

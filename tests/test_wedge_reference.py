@@ -7,7 +7,7 @@ from logchern import (Arrangement, ext1_against_ring, groebner_basis,
                       hilbert_polynomial, log_modules, normal_form,
                       per_flat_n_values)
 from logchern.cli import load_arrangement
-from logchern.log_geometry import chart_arrangement
+from logchern.log_geometry import _centred_localization
 from tests import wedge_reference as wedge
 from tests.conftest import braid
 
@@ -49,7 +49,8 @@ def test_duality_route_matches_wedge_reference(routes):
     assert hilbert_polynomial(ext1_against_ring(om0.presentation)) == \
         hilbert_polynomial(ext1_against_ring(ref0.presentation))
     for flat, n in per_flat_n_values(arr).items():
-        assert n == wedge.affine_n_value(chart_arrangement(arr, flat)), flat
+        assert n == wedge.affine_n_value(_centred_localization(arr, flat)), \
+            flat
 
 
 def test_reference_numerators_are_log_forms(routes):

@@ -34,13 +34,8 @@ def log_forms(dd):
     zero = MultiPoly.zero(arity)
     pairs = list(combinations(range(arity), 2))
     m = len(pairs)
-    graded = dd.graded
-    if graded:
-        H = GradedFreeModule(arity, [0] * m)
-        src_twists = [dd.degree - 1] * arity + [dd.degree] * m
-    else:
-        H = GradedFreeModule(arity, rank=m)
-        src_twists = None
+    H = GradedFreeModule(arity, [0] * m)
+    src_twists = [dd.degree - 1] * arity + [dd.degree] * m
     cols = []
     for k in range(arity):
         comps = []
@@ -57,10 +52,7 @@ def log_forms(dd):
         comps[r] = dd.f
         cols.append(H.element(comps))
     kernel = kernel_generators(cols, source_twists=src_twists)
-    if graded:
-        ambient = GradedFreeModule(arity, [1 - dd.degree] * arity)
-    else:
-        ambient = GradedFreeModule(arity, rank=arity)
+    ambient = GradedFreeModule(arity, [1 - dd.degree] * arity)
     gens = []
     seen = set()
     for k in kernel:
@@ -77,11 +69,9 @@ def log_forms(dd):
         raise EngineError("Omega^1 computation produced no generators")
     pres = presentation_of_submodule(gens)
     lm = LogModule("Omega1", pres, dd, ambient, [to_engine(g) for g in gens])
-    if graded:
-        df = ambient.element(list(dd.partials))
-        gb = groebner_basis(list(gens))
-        if not normal_form(df, gb).is_zero():
-            raise EngineError("df/f is missing from Omega^1")
+    df = ambient.element(list(dd.partials))
+    if not normal_form(df, groebner_basis(list(gens))).is_zero():
+        raise EngineError("df/f is missing from Omega^1")
     return lm
 
 
@@ -102,8 +92,6 @@ def relative_log_forms(lm, check_split=True):
     """
     if lm.kind != "Omega1":
         raise InputError("relative forms are computed from Omega^1")
-    if not lm.graded:
-        raise InputError("Omega^1_0 is defined for central arrangements")
     dd = lm.defining
     arity = dd.arity
     elems = lm.generators
@@ -142,9 +130,8 @@ def relative_log_forms(lm, check_split=True):
 
 
 def affine_n_value(arr, degree_cap=DEGREE_CAP):
-    """N of an affine arrangement from the wedge Omega^1 of the chart."""
-    if arr.is_central:
-        raise InputError("affine_n_value expects an affine arrangement")
+    """N of a point from the wedge Omega^1 of its central arrangement A'_q,
+    Omega^1 = D^*(-1) having the Ext^1 length of D^*."""
     om1 = log_forms(defining_data(arr))
     ext1 = ext1_against_ring(om1.presentation)
     if krull_dim(ext1) > 0:
