@@ -6,7 +6,7 @@ For a locally tame arrangement with zero-dimensional non-free locus,
         = c_SM(M(PA)) + ((-1)^(l-1) + (-1)^(l-2) (l-2)!) N(PA) h^(l-1).
 
 Both sides are computed by independent pipelines: the left side from the
-minimal free resolution of D_0 through the Whitney formula, the right side
+Hilbert series of D_0 through the Whitney formula, the right side
 from the intersection lattice through the CSM expansion of the Poincare
 polynomial.  N comes from the graded Ext^1 of Omega^1_0; a per-point
 computation, on the chart centred at each point, cross-checks it.

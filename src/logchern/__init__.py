@@ -15,7 +15,8 @@ from .arrangements import (Arrangement, Flat, IntersectionLattice,
                            localize, mobius, parse_arrangement,
                            poincare_affine, poincare_projective)
 from .chern_csm import (ChernPoly, ChowClass, VerificationReport,
-                        chern_dual, chern_from_resolution, chern_point,
+                        chern_dual, chern_from_hilbert,
+                        chern_from_resolution, chern_point,
                         chow_from_chern, csm_complement, csm_of_divisor,
                         defect_coefficient, twist_chern,
                         verify_denham_schulze, verify_main_theorem,

@@ -3,6 +3,13 @@ modules via the Whitney formula, CSM classes of arrangement complements,
 and the verification of the Mustata-Schenck, Denham-Schulze and main
 defect identities by computing both sides independently.
 
+A Chern polynomial depends only on the K-class of the sheaf, that is on
+the alternating count c_a of the twists a in any graded free resolution.
+The numerator sum_j t^(a_j) K_j(t) of the Hilbert series has the same
+coefficients, so ``chern_from_hilbert`` needs no resolution; it and
+``chern_from_resolution`` share the one Whitney product
+prod_a (1 + (shift - a) t)^(c_a).
+
 The Chern variable t and the Chow variable h both live in Z[.]/<.^l>;
 ``chow_from_chern`` is the single conversion point between them.
 """
@@ -12,6 +19,7 @@ from math import comb, factorial
 from .arrangements import build_lattice, poincare_projective
 from .errors import EngineError, HypothesisError, InputError
 from .log_geometry import freeness_test, log_modules, nonfree_locus
+from .modules import hilbert_numerators
 from .rings import TruncatedPoly, render_univariate
 
 
@@ -25,83 +33,66 @@ def _integer_coeffs(l, coeffs):
     return tuple(int(c) for c in coeffs)
 
 
-class ChernPoly:
-    """Total Chern polynomial c_t truncated mod t^l, integer coefficients."""
+class _IntegerClass:
+    """Integer coefficients c_0 .. c_(l-1) of an element of Z[x]/<x^l>,
+    x = ``var``; sums and differences need equal l, or raise
+    ArityMismatchError."""
 
     __slots__ = ("l", "coeffs")
+    var = None
 
     def __init__(self, l, coeffs):
         self.l = l
         self.coeffs = _integer_coeffs(l, coeffs)
-
-    @classmethod
-    def one(cls, l):
-        return cls(l, [1])
 
     def as_truncated(self):
         return TruncatedPoly(self.l, list(self.coeffs))
 
     def __add__(self, other):
-        return ChernPoly(self.l, (self.as_truncated()
-                                  + other.as_truncated()).coeffs)
+        return type(self)(self.l, (self.as_truncated()
+                                   + other.as_truncated()).coeffs)
 
     def __sub__(self, other):
-        return ChernPoly(self.l, (self.as_truncated()
-                                  - other.as_truncated()).coeffs)
+        return type(self)(self.l, (self.as_truncated()
+                                   - other.as_truncated()).coeffs)
+
+    def is_zero(self):
+        return all(c == 0 for c in self.coeffs)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.l == other.l \
+            and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.l, self.coeffs))
+
+    def render(self):
+        return render_univariate(self.coeffs, self.var, ascending=True)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.render()})"
+
+
+class ChernPoly(_IntegerClass):
+    """Total Chern polynomial c_t truncated mod t^l, integer coefficients."""
+
+    __slots__ = ()
+    var = "t"
+
+    @classmethod
+    def one(cls, l):
+        return cls(l, [1])
 
     def __mul__(self, other):
         return ChernPoly(self.l, (self.as_truncated()
                                   * other.as_truncated()).coeffs)
 
-    def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
 
-    def __eq__(self, other):
-        return isinstance(other, ChernPoly) and self.l == other.l \
-            and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.l, self.coeffs))
-
-    def render(self):
-        return render_univariate(self.coeffs, "t", ascending=True)
-
-    def __repr__(self):
-        return f"ChernPoly({self.render()})"
-
-
-class ChowClass:
+class ChowClass(_IntegerClass):
     """Integer class a_0 + a_1 h + ... + a_(l-1) h^(l-1) in Z[h]/<h^l>."""
 
-    __slots__ = ("l", "coeffs")
-
-    def __init__(self, l, coeffs):
-        self.l = l
-        self.coeffs = _integer_coeffs(l, coeffs)
-
-    def __add__(self, other):
-        return ChowClass(self.l, [a + b for a, b in
-                                  zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other):
-        return ChowClass(self.l, [a - b for a, b in
-                                  zip(self.coeffs, other.coeffs)])
-
-    def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, ChowClass) and self.l == other.l \
-            and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.l, self.coeffs))
-
-    def render(self):
-        return render_univariate(self.coeffs, "h", ascending=True)
-
-    def __repr__(self):
-        return f"ChowClass({self.render()})"
+    __slots__ = ()
+    var = "h"
 
 
 def chow_from_chern(ct):
@@ -109,20 +100,35 @@ def chow_from_chern(ct):
     return ChowClass(ct.l, ct.coeffs)
 
 
+def _whitney(counts, shift, l):
+    """prod_a (1 + (shift - a) t)^(c_a) mod t^l over the alternating twist
+    counts ``counts`` = {a: c_a}, the one Whitney product; every factor
+    has constant term 1, so its inverse stays integral."""
+    out = TruncatedPoly.one(l)
+    for a, c in counts.items():
+        out = out * TruncatedPoly.linear(l, shift - a) ** c
+    return ChernPoly(l, out.coeffs)
+
+
 def chern_from_resolution(res, shift, l):
     """Whitney formula on a sheafified graded free resolution:
     prod_i (prod_j (1 + (shift - a_ij) t))^((-1)^i)  mod t^l."""
-    out = TruncatedPoly.one(l)
-    invert = False
-    for F in res.terms:
-        factor = TruncatedPoly.one(l)
+    counts = {}
+    for i, F in enumerate(res.terms):
         for a in F.twists:
-            factor = factor * TruncatedPoly.linear(l, shift - a)
-        out = out * (factor.inverse() if invert else factor)
-        invert = not invert
-    if not out.is_integral:
-        raise EngineError("non-integral Chern polynomial from resolution")
-    return ChernPoly(l, out.coeffs)
+            counts[a] = counts.get(a, 0) + (-1) ** i
+    return _whitney(counts, shift, l)
+
+
+def chern_from_hilbert(pres, shift, l):
+    """The Whitney formula on the Hilbert series: c_a is the coefficient of
+    t^a in sum_j t^(a_j) K_j(t), the numerator over (1 - t)^l, which is
+    the alternating twist count of every graded free resolution."""
+    counts = {}
+    for a, num in zip(pres.target.twists, hilbert_numerators(pres)):
+        for i, c in enumerate(num):
+            counts[a + i] = counts.get(a + i, 0) + c
+    return _whitney(counts, shift, l)
 
 
 def chern_dual(ct):
@@ -151,15 +157,6 @@ def chern_point(d):
     coeffs[0] = 1
     coeffs[d] = (-1) ** (d - 1) * factorial(d - 1)
     return ChernPoly(d + 1, coeffs)
-
-
-def ext_point_factor(n_value, l):
-    """The skyscraper correction (1 + (-1)^(l-2) (l-2)! N t^(l-1))."""
-    coeffs = [0] * l
-    coeffs[0] = 1
-    if l >= 2:
-        coeffs[l - 1] = (-1) ** l * factorial(l - 2) * n_value
-    return ChernPoly(l, coeffs)
 
 
 def csm_complement(pi, l):
@@ -205,6 +202,14 @@ def defect_coefficient(l):
     if l < 2:
         raise InputError("defect coefficient needs l >= 2")
     return (-1) ** (l - 1) + (-1) ** l * factorial(l - 2)
+
+
+def _dual_route(ct_omega, ext1, l):
+    """c(Omega^1(PA)^v) from c_t(Omega^1(PA)(1)) and the presented
+    Ext^1(Omega^1_0, S) =: E: in K-theory Omega^1(PA)^v(-1) is
+    Omega^1(PA)(1)^v + E~(-1), then twist by O(1)."""
+    return twist_chern(chern_dual(ct_omega)
+                       * chern_from_hilbert(ext1, -1, l), l)
 
 
 class VerificationReport:
@@ -290,13 +295,15 @@ def certify_hypotheses(arr, assume_locally_tame):
 def verify_main_theorem(arr, assume_locally_tame=False, per_flat_check=False):
     """Compute both sides of the defect identity independently.
 
-    lhs: total Chern class of the dual logarithmic sheaf from the minimal
-    resolution of D_0 (Whitney route).  rhs: CSM class of the complement
-    from the intersection lattice.  N: from the graded Ext^1 of Omega^1_0.
-    A third route (dualize, correct by the skyscraper factor, twist) must
-    reproduce the lhs exactly, and a free D_0 must satisfy Terao's
-    factorization pi(PA, t) = prod (1 + d_i t) over its exponents d_i, or
-    an EngineError is raised.
+    lhs: total Chern class of the dual logarithmic sheaf, the Whitney
+    product over the Hilbert series of D_0.  rhs: CSM class of the
+    complement from the intersection lattice.  N: from the graded Ext^1 of
+    Omega^1_0, the one module resolved.  Its Chern class from that
+    resolution must equal the one from its Hilbert series; a third route
+    (dualize, multiply by the class of Ext^1(-1), twist) must reproduce the
+    lhs exactly; and when Omega^1_0 is free, D_0 is resolved and must be
+    free with exponents d_i satisfying Terao's factorization
+    pi(PA, t) = prod (1 + d_i t).  Otherwise an EngineError is raised.
     """
     if not arr.is_central:
         raise InputError("the main identity concerns central arrangements")
@@ -314,11 +321,18 @@ def verify_main_theorem(arr, assume_locally_tame=False, per_flat_check=False):
     divisor_csm = csm_of_divisor(pi_proj, l)
 
     # commutative-algebra side
-    _, d0, _, om1, om0 = log_modules(arr)
-    d0_res = d0.minimal_resolution()
-    lhs_ct = chern_from_resolution(d0_res, 1, l)
+    _, d0, _, _, om0 = log_modules(arr)
+    lhs_ct = chern_from_hilbert(d0.presentation, 1, l)
     lhs = chow_from_chern(lhs_ct)
-    if d0_res.length == 0:
+    freeness = freeness_test(om0)
+    ct_omega = chern_from_resolution(om0.minimal_resolution(), 1, l)
+    if chern_from_hilbert(om0.presentation, 1, l) != ct_omega:
+        raise EngineError("Hilbert series and resolution of Omega^1_0 give "
+                          "different Chern polynomials")
+    if freeness.is_free:
+        d0_res = d0.minimal_resolution()
+        if d0_res.length != 0:
+            raise EngineError("Omega^1_0 is free but D_0 is not")
         terao = ChernPoly.one(l)
         for d in d0_res.terms[0].twists:
             terao = terao * ChernPoly(l, [1, d])
@@ -326,15 +340,6 @@ def verify_main_theorem(arr, assume_locally_tame=False, per_flat_check=False):
             raise EngineError(
                 "free arrangement fails Terao's factorization: "
                 f"{terao.render()} vs pi = {pi_proj.render()}")
-
-    freeness = freeness_test(om0)
-    ct_omega = chern_from_resolution(om0.minimal_resolution(), 1, l)
-
-    # consistency of the two Omega routes (reduced Chern relation):
-    ct_omega_full = chern_from_resolution(om1.minimal_resolution(), 1, l)
-    one_plus_t = ChernPoly(l, [1, 1])
-    if ct_omega_full != one_plus_t * ct_omega:
-        raise EngineError("c_t(Omega^1(1)) != (1+t) c_t(Omega^1(PA)(1))")
 
     ms_res = verify_mustata_schenck(ct_omega, pi_proj)
     applicable = True
@@ -357,12 +362,12 @@ def verify_main_theorem(arr, assume_locally_tame=False, per_flat_check=False):
         predicted_defect = ChowClass(l, defect_coeffs)
         residual = lhs - rhs_csm - predicted_defect
         ds_res = verify_denham_schulze(ct_omega, pi_proj, n_value, l)
-        # third, dependent route: dualize, skyscraper correction, twist
-        route3 = twist_chern(chern_dual(ct_omega)
-                             * ext_point_factor(n_value, l), l)
+        # third route, from Omega^1_0 and its Ext^1 (both still built from
+        # the dual of D_0), must give the lhs read off D_0's Hilbert series
+        route3 = _dual_route(ct_omega, nfl.ext1, l)
         if route3 != lhs_ct:
             raise EngineError(
-                "dual/twist route disagrees with the resolution route: "
+                "dual/twist route disagrees with the Hilbert series of D_0: "
                 f"{route3.render()} vs {lhs_ct.render()}")
     else:
         predicted_defect = None

@@ -25,7 +25,7 @@ from importlib import resources
 from .arrangements import (build_lattice, decone, parse_arrangement,
                            poincare_affine, poincare_projective,
                            read_json_file)
-from .chern_csm import (chern_from_resolution, chow_from_chern,
+from .chern_csm import (chern_from_hilbert, chow_from_chern,
                         csm_complement, csm_of_divisor, defect_coefficient,
                         verify_main_theorem)
 from .errors import (HypothesisError, InputError, LogChernError,
@@ -198,8 +198,8 @@ def _cmd_resolution(arr, config):
 def _cmd_chern(arr, config):
     _, d0, _, _, om0 = log_modules(arr)
     l = arr.dim
-    ct_dual = chern_from_resolution(d0.minimal_resolution(), 1, l)
-    ct_omega = chern_from_resolution(om0.minimal_resolution(), 1, l)
+    ct_dual = chern_from_hilbert(d0.presentation, 1, l)
+    ct_omega = chern_from_hilbert(om0.presentation, 1, l)
     lhs = chow_from_chern(ct_dual)
     return {
         "ct_omega1_dual": _poly_entry(ct_dual.render(), ct_dual.coeffs),

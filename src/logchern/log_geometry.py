@@ -490,7 +490,8 @@ def per_flat_n_values(arr, lattice=None, chart=None, degree_cap=DEGREE_CAP):
     ``affine_n_value`` of the flat's point on the chart centred there.
 
     Points whose A'_q have the same normals, in order, share one
-    computation.
+    computation.  An A'_q of l - 1 hyperplanes (a normal-crossing point)
+    has independent normals: it is boolean, so free, and its N is 0.
     """
     if not arr.is_central:
         raise InputError("per-flat N values need a central arrangement")
@@ -502,7 +503,9 @@ def per_flat_n_values(arr, lattice=None, chart=None, degree_cap=DEGREE_CAP):
     values = {}
     for flat in lat.flats_of_codim(arr.dim - 1):
         local = _centred_localization(arr, flat, chart=chart)
-        if local.normals not in by_normals:
+        if local.n == local.dim:
+            by_normals[local.normals] = 0
+        elif local.normals not in by_normals:
             by_normals[local.normals] = affine_n_value(
                 local, degree_cap=degree_cap)
         values[flat] = by_normals[local.normals]

@@ -1,7 +1,15 @@
+from pathlib import Path
+
 import pytest
 
 from logchern import (Arrangement, build_lattice, log_modules,
                       verify_main_theorem)
+from logchern.cli import bundled_examples
+
+FRONTIER = Path(__file__).parent / "data" / "frontier"
+# (name, CLI input) of the bundled examples and of tests/data/frontier/*
+CORPUS = sorted([(name, f"example:{name}") for name, _ in bundled_examples()]
+                + [(p.stem, str(p)) for p in FRONTIER.glob("*.json")])
 
 OCTIC_NORMALS = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
                  (1, 0, 0, -1), (0, 1, 0, -1), (1, 1, 1, 0), (1, -1, 1, 0)]

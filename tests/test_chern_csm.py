@@ -4,16 +4,21 @@ from fractions import Fraction
 
 import pytest
 
-from logchern import (Arrangement, ChernPoly, ChowClass, GradedFreeModule,
-                      GradedModulePresentation,
+from logchern import (Arrangement, ArityMismatchError, ChernPoly, ChowClass,
+                      GradedFreeModule, GradedModulePresentation,
                       HypothesisError, InputError, MultiPoly, PoincarePoly,
-                      chern_dual, chern_from_resolution, chern_point,
-                      csm_complement, csm_of_divisor, defect_coefficient,
-                      free_resolution, poincare_projective, twist_chern,
+                      chern_dual, chern_from_hilbert, chern_from_resolution,
+                      chern_point, chow_from_chern, csm_complement,
+                      csm_of_divisor, defect_coefficient, ext1_against_ring,
+                      free_resolution, krull_dim, log_modules,
+                      poincare_projective, twist_chern,
                       verify_denham_schulze, verify_main_theorem,
                       verify_mustata_schenck)
+from logchern.chern_csm import _dual_route
+from logchern.cli import load_arrangement
 from logchern.modules import ResolutionData, to_engine
-from tests.conftest import BRAID_TRIPLE, GENERIC4, GENERIC5, boolean, braid
+from tests.conftest import (BRAID_TRIPLE, CORPUS, GENERIC4, GENERIC5,
+                            OCTIC_NORMALS, boolean, braid)
 
 
 def _free_resolution_of(module):
@@ -63,6 +68,52 @@ def test_chern_whitney_resolution_independence(octic_modules):
     # and a genuinely non-minimal resolution of the same module
     raw = free_resolution(d0.presentation, minimal=False)
     assert chern_from_resolution(raw, 1, 4) == ct_min
+    # the Hilbert series holds the same alternating twist count, for every
+    # log module of the bundled and frontier inputs
+    for name, spec in CORPUS:
+        arr = load_arrangement(spec)
+        for lm in log_modules(arr)[1:]:
+            assert chern_from_hilbert(lm.presentation, 1, arr.dim) == \
+                chern_from_resolution(lm.minimal_resolution(), 1, arr.dim), \
+                (name, lm.kind)
+
+
+def _cross(normals, k):
+    """The normals of A x C^k."""
+    return [tuple(a) + (0,) * k for a in normals]
+
+
+@pytest.mark.parametrize("normals,defect", [
+    (_cross(OCTIC_NORMALS, 1), (0, 0, 0, 3, 8)),
+    (_cross(OCTIC_NORMALS, 1) + [(1, 2, 3, 5, 7)], (0, 0, 0, 3, 5)),
+    (_cross(GENERIC4, 2), (0, 0, 0, 1, 4))],
+    ids=["octic_x_C", "octic_x_C_plus", "generic4_x_C2"])
+def test_third_route_on_positive_dimensional_loci(normals, defect):
+    # Ext^1 has cone dimension 2, so verify reports applicable: false and
+    # skips the third route; with the class of Ext^1(-1) it still gives the
+    # lhs, which a skyscraper factor cannot (and the twists Ext^1 and
+    # Ext^1(1) do not)
+    arr = Arrangement(5, normals)
+    _, d0, _, _, om0 = log_modules(arr)
+    lhs = chern_from_hilbert(d0.presentation, 1, 5)
+    ct_omega = chern_from_resolution(om0.minimal_resolution(), 1, 5)
+    ext1 = ext1_against_ring(om0.presentation)
+    assert krull_dim(ext1) == 2
+    assert _dual_route(ct_omega, ext1, 5) == lhs
+    for s in (1, 2):
+        assert _dual_route(ct_omega, ext1.twisted(s), 5) != lhs
+    csm = csm_complement(poincare_projective(arr), 5)
+    assert (chow_from_chern(lhs) - csm).coeffs == defect
+
+
+def test_chow_classes_of_different_lengths_do_not_combine():
+    a, b = ChowClass(3, [1, 2, 3]), ChowClass(4, [1, 1, 1, 1])
+    for x, y in ((a, b), (b, a)):
+        for op in (lambda u, v: u + v, lambda u, v: u - v):
+            with pytest.raises(ArityMismatchError):
+                op(x, y)
+        with pytest.raises(ArityMismatchError):
+            ChernPoly(x.l, x.coeffs) * ChernPoly(y.l, y.coeffs)
 
 
 def test_chern_dual_examples():

@@ -11,7 +11,7 @@ from logchern.cli import (JobConfig, bundled_examples, load_arrangement,
                           main, render, run)
 from logchern.errors import EngineError, InputError
 from logchern.modules import DEGREE_CAP
-from tests.conftest import braid
+from tests.conftest import CORPUS, braid
 
 
 def _job(command, input_path, **kw):
@@ -301,21 +301,34 @@ def test_resolution_maps_match_the_golden_file(name):
 
 
 NVAL_GOLDEN = Path(__file__).parent / "data" / "nval_golden.json"
-FRONTIER = Path(__file__).parent / "data" / "frontier"
 
 
-@pytest.mark.parametrize("name", [name for name, _ in bundled_examples()]
-                         + sorted(p.stem for p in FRONTIER.glob("*.json")))
-def test_nval_reports_match_the_golden_file(name):
+@pytest.mark.parametrize("name,spec", CORPUS, ids=[n for n, _ in CORPUS])
+def test_nval_reports_match_the_golden_file(name, spec):
     # N, the per-point values and the freeness of Omega^1_0; CI compares
     # the installed script (bundled examples) and the frontier inputs with
     # the same file
-    frontier = FRONTIER / f"{name}.json"
-    spec = str(frontier) if frontier.exists() else f"example:{name}"
     report, code = run(_job("nval", spec, fmt="json"))
     assert code == 0
     golden = json.loads(NVAL_GOLDEN.read_text())[name]
     assert json.loads(render(report, "json"))["result"] == golden
+
+
+CHERN_GOLDEN = Path(__file__).parent / "data" / "chern_golden.json"
+
+
+@pytest.mark.parametrize("name,spec", CORPUS, ids=[n for n, _ in CORPUS])
+def test_chern_and_verify_reports_match_the_golden_file(name, spec):
+    # the chern and verify --assume-locally-tame results, which read Chern
+    # classes off Hilbert series; CI compares the installed script (bundled
+    # examples) and the frontier inputs with the same file
+    golden = json.loads(CHERN_GOLDEN.read_text())[name]
+    for command in ("chern", "verify"):
+        report, code = run(_job(command, spec, fmt="json",
+                                assume_locally_tame=True))
+        assert code == 0
+        assert json.loads(render(report, "json"))["result"] == \
+            golden[command], command
 
 
 LATTICE_GOLDEN = Path(__file__).parent / "data" / "lattice_golden.json"
@@ -400,8 +413,9 @@ def test_each_job_builds_every_log_module_once(command, monkeypatch):
     assert calls == {"derivation_module_d0": 1, "log_derivations": 1,
                      "relative_log_forms": 1, "log_forms": 1,
                      "module_dual": 1}
-    # one per distinct A'_q: 13 for the octic's 18 points
-    assert local_duals == ({3: 13} if command == "nval" else {})
+    # one per distinct A'_q that is not a normal crossing: 7 for the
+    # octic's 18 points
+    assert local_duals == ({3: 7} if command == "nval" else {})
 
 
 def test_degree_cap_boundary_is_the_rich_points_staircase():

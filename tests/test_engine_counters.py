@@ -27,11 +27,13 @@ LINES_FIXED = [[1, -2, 6], [9, -9, -5], [3, 9, 0], [8, 4, -3], [6, -7, -9],
 
 # (s_pairs, zero_reductions, basis_elements, max_degree)
 PINNED = [
-    ("verify", "octic", (56, 29, 68, 6)),
-    ("nval", "octic", (109, 49, 220, 6)),
-    ("verify", "generic6_l4", (92, 54, 77, 4)),
-    ("nval", "generic6_l4", (150, 84, 232, 4)),
-    ("verify", "lines_fixed", (56, 25, 63, 5)),
+    ("verify", "octic", (56, 29, 65, 6)),
+    ("nval", "octic", (92, 41, 155, 6)),
+    ("verify", "generic6_l4", (89, 51, 75, 4)),
+    ("nval", "generic6_l4", (86, 48, 65, 4)),
+    ("verify", "lines_fixed", (56, 25, 59, 5)),
+    ("chern", "octic", (54, 27, 61, 6)),
+    ("chern", "generic6_l4", (69, 37, 64, 4)),
 ]
 
 
@@ -65,8 +67,8 @@ def test_ext1_of_d0_counters_are_pinned():
             stats.max_degree) == (108, 53, 113, 5)
 
 
-@pytest.mark.parametrize("command,calls", [("verify", 136), ("nval", 383),
-                                           ("modules", 156)])
+@pytest.mark.parametrize("command,calls", [("verify", 130), ("nval", 268),
+                                           ("modules", 156), ("chern", 120)])
 def test_every_reduction_goes_through_reduce_full(monkeypatch, command,
                                                   calls):
     real = groebner.reduce_full
@@ -112,9 +114,8 @@ def test_resolution_maps_stay_integer_term_dicts(monkeypatch, command,
     assert bool(calls) == converts
 
 
-def test_nonfree_locus_resolves_no_ext1(monkeypatch):
-    # verify resolves D_0, Omega^1 and Omega^1_0; Ext^1's dimension and
-    # Hilbert polynomial come from its leading terms, not a resolution
+def _resolutions(monkeypatch, command, spec):
+    """The presentations a CLI job hands to ``free_resolution``."""
     real = modules.free_resolution
     calls = []
 
@@ -124,7 +125,24 @@ def test_nonfree_locus_resolves_no_ext1(monkeypatch):
     for mod in LOGCHERN_MODULES:
         if getattr(mod, "free_resolution", None) is real:
             monkeypatch.setattr(mod, "free_resolution", counted)
-    _report, code = run(JobConfig("verify", "example:nonfree_octic",
-                                  fmt="json"))
+    _report, code = run(JobConfig(command, spec, fmt="json"))
     assert code == 0
-    assert len(calls) == 3
+    return calls
+
+
+def test_nonfree_locus_resolves_no_ext1(monkeypatch):
+    # verify resolves Omega^1_0 only; Ext^1's dimension and Hilbert
+    # polynomial and the Chern class of D_0 come from leading terms, not a
+    # resolution
+    assert len(_resolutions(monkeypatch, "verify",
+                            "example:nonfree_octic")) == 1
+
+
+@pytest.mark.parametrize("command,spec,resolutions", [
+    ("verify", "example:boolean_l4", 2), ("chern", "example:nonfree_octic", 0),
+    ("chern", "example:boolean_l4", 0)])
+def test_chern_classes_come_from_hilbert_series(monkeypatch, command, spec,
+                                                resolutions):
+    # a free Omega^1_0 makes verify resolve D_0 too, for Terao's check on
+    # its exponents; chern reads both of its classes off Hilbert series
+    assert len(_resolutions(monkeypatch, command, spec)) == resolutions

@@ -11,11 +11,12 @@ from logchern import (Arrangement, InputError,
                       log_forms, log_modules, module_dual, nonfree_locus,
                       per_flat_n_values, relative_log_forms)
 from logchern import log_geometry, modules
+from logchern.cli import load_arrangement
 from logchern.log_geometry import _centred_localization
 from logchern.modules import hilbert_numerators, krull_dim
 from tests import module_reference as ref
 from tests import wedge_reference as wedge
-from tests.conftest import BRAID_TRIPLE, GENERIC4, GENERIC5, boolean
+from tests.conftest import BRAID_TRIPLE, CORPUS, GENERIC4, GENERIC5, boolean
 
 
 def _pipeline(arr):
@@ -280,7 +281,9 @@ def test_chart_override_invariance(octic_arrangement, octic_lattice):
 
 def test_per_flat_takes_one_affine_n_per_distinct_chart(
         octic_arrangement, octic_lattice, monkeypatch):
-    # 18 points, whose A'_q have 13 distinct normal lists
+    # 18 points, whose A'_q have 13 distinct normal lists; 6 of them are
+    # normal-crossing points (three independent planes), whose N is 0
+    # without a computation
     charts = []
 
     def counted(arr, **kwargs):
@@ -289,14 +292,29 @@ def test_per_flat_takes_one_affine_n_per_distinct_chart(
     monkeypatch.setattr(log_geometry, "affine_n_value", counted)
     values = per_flat_n_values(octic_arrangement, lattice=octic_lattice)
     assert len(values) == 18
-    assert len(charts) == len(set(charts)) == 13
+    assert len(charts) == len(set(charts)) == 7
     assert sum(values.values()) == 3
     assert sorted(v for v in values.values() if v) == [1, 2]
 
 
+@pytest.mark.parametrize("spec", [spec for _, spec in CORPUS],
+                         ids=[name for name, _ in CORPUS])
+def test_normal_crossing_points_have_n_zero(spec):
+    # per_flat_n_values gives N = 0 to an A'_q of l - 1 hyperplanes without
+    # computing it; the full pipeline agrees at every such point
+    arr = load_arrangement(spec)
+    seen = set()
+    for flat in build_lattice(arr).flats_of_codim(arr.dim - 1):
+        local = _centred_localization(arr, flat)
+        if local.n == local.dim and local.normals not in seen:
+            seen.add(local.normals)
+            assert affine_n_value(local) == 0
+
+
 def test_affine_n_reads_the_hilbert_numerators_twice_per_chart(
         octic_arrangement, octic_lattice, monkeypatch):
-    # once for the Krull dimension check, once for the length
+    # once for the Krull dimension check, once for the length, on each of
+    # the 7 A'_q that are not normal crossings
     calls = []
 
     def counted(pres):
@@ -304,7 +322,7 @@ def test_affine_n_reads_the_hilbert_numerators_twice_per_chart(
         return hilbert_numerators(pres)
     monkeypatch.setattr(modules, "hilbert_numerators", counted)
     per_flat_n_values(octic_arrangement, lattice=octic_lattice)
-    assert len(calls) == 2 * 13
+    assert len(calls) == 2 * 7
 
 
 def test_per_flat_requires_central():
