@@ -504,29 +504,20 @@ def decone(arr, h_index):
     if arr.dim < 2:
         raise InputError("deconing needs ambient dimension >= 2")
     alpha = arr.normals[h_index]
-    pivot = _pivot(alpha)
-    point = [Fraction(0)] * arr.dim
-    point[pivot] = Fraction(1, alpha[pivot])
-    basis = []
-    for j in range(arr.dim):
-        if j == pivot:
-            continue
-        v = [Fraction(0)] * arr.dim
-        v[j] = Fraction(1)
-        v[pivot] = Fraction(-alpha[j], alpha[pivot])
-        basis.append(v)
+    p = _pivot(alpha)
+    ap = alpha[p]
+    # on alpha = 1, z_p = (1 - sum_(j != p) a_j z_j) / a_p, so beta = 0
+    # reads sum_(j != p) (a_p b_j - b_p a_j) z_j = -b_p, up to the factor a_p
     normals = []
     consts = []
     labels = [] if arr.labels else None
     for i, beta in enumerate(arr.normals):
         if i == h_index:
             continue
-        coeffs = [sum(Fraction(b) * vb for b, vb in zip(beta, v))
-                  for v in basis]
-        const = -sum(Fraction(b) * p for b, p in zip(beta, point))
-        joint = rational_vec_primitive(tuple(coeffs) + (const,))
-        normals.append(list(joint[:-1]))
-        consts.append(joint[-1])
+        bp = beta[p]
+        normals.append([ap * b - bp * a for j, (a, b) in
+                        enumerate(zip(alpha, beta)) if j != p])
+        consts.append(-bp)
         if labels is not None:
             labels.append(arr.labels[i])
     return Arrangement(arr.dim - 1, normals, constants=consts, labels=labels)

@@ -301,8 +301,8 @@ def verify_main_theorem(arr, assume_locally_tame=False, per_flat_check=False):
     Omega^1_0, the one module resolved.  Its Chern class from that
     resolution must equal the one from its Hilbert series; a third route
     (dualize, multiply by the class of Ext^1(-1), twist) must reproduce the
-    lhs exactly; and when Omega^1_0 is free, D_0 is resolved and must be
-    free with exponents d_i satisfying Terao's factorization
+    lhs exactly; and when Omega^1_0 is free, D_0 must be free and pass
+    Saito's criterion, with exponents d_i satisfying Terao's factorization
     pi(PA, t) = prod (1 + d_i t).  Otherwise an EngineError is raised.
     """
     if not arr.is_central:
@@ -330,11 +330,11 @@ def verify_main_theorem(arr, assume_locally_tame=False, per_flat_check=False):
         raise EngineError("Hilbert series and resolution of Omega^1_0 give "
                           "different Chern polynomials")
     if freeness.is_free:
-        d0_res = d0.minimal_resolution()
-        if d0_res.length != 0:
+        d0_free = freeness_test(d0)
+        if not d0_free.is_free:
             raise EngineError("Omega^1_0 is free but D_0 is not")
         terao = ChernPoly.one(l)
-        for d in d0_res.terms[0].twists:
+        for d in d0_free.exponents:
             terao = terao * ChernPoly(l, [1, d])
         if terao != _pi_chern(pi_proj, l):
             raise EngineError(

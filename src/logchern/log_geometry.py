@@ -45,17 +45,19 @@ through q, so on the affine chart z_c = 1 (q_c != 0, scaled to 1) in the
 coordinates z_i - q_i, i != c, it is the central arrangement A'_q in l - 1
 variables whose normals are the localization's with coordinate c
 dropped.  The point's N is the length of Ext^1(D(A'_q)^*, S'), where
-D(A'_q) is the same kernel without the row sum_H h_H.  Everything here is
-graded.
+D(A'_q) is the same kernel without the row sum_H h_H; by duality it is the
+length of Ext^(l-3)(D(A'_q), S'), the top Ext of D(A'_q)'s own minimal
+resolution when that has length l - 3, and 0 otherwise
+(`affine_n_value`): no point dualizes.  Everything here is graded.
 """
 
 from .arrangements import Arrangement, build_lattice, localize, rref
 from .errors import EngineError, HypothesisError, InputError
 from .groebner import FIELD_MASK, kernel_raw
 from .modules import (DEGREE_CAP, GradedFreeModule, GradedModulePresentation,
-                      ext1_against_ring, from_engine, hilbert_polynomial,
-                      krull_dim, module_dual, presentation_of_basis,
-                      total_dimension)
+                      ext1_against_ring, ext_from_resolution, from_engine,
+                      hilbert_polynomial, krull_dim, module_dual,
+                      presentation_of_basis, total_dimension)
 from .orders import FIELD_BITS
 from .rings import MultiPoly, poly_product
 
@@ -441,15 +443,20 @@ def nonfree_locus(lm, per_flat=False, chart=None, degree_cap=DEGREE_CAP,
 
 
 def affine_n_value(arr, degree_cap=DEGREE_CAP):
-    """N of one point q of the non-free locus: the length of
-    Ext^1(D(A'_q)^*, S') for the central arrangement A'_q of the affine
-    chart centred at q (`_centred_localization`).
+    """N of one point q of the non-free locus, the length of
+    Ext^1(D^*, S') for D = D(A'_q), the central arrangement of the affine
+    chart centred at q (`_centred_localization`); D is the kernel of the
+    module docstring without the row sum_H h_H.
 
-    D(A'_q) is the theta part of the kernel of the linear map of the module
-    docstring without the row sum_H h_H, presented by its S-pair syzygies.
-    The name is the chart's: A'_q is the localization at q on an affine
-    chart, moved so that q is the origin, and the length is the affine
-    one.
+    No dual is taken.  Over S' = Q[z_1..z_m] D is reflexive and, at an
+    isolated point, locally free off the origin, so with E = D~ on
+    P^(m-1), local duality at the origin and Serre duality give
+    length Ext^1(D^*, S') = sum_k h^(m-2)(E^v(k)) = sum_k h^1(E(k)) =
+    length Ext^(m-2)(D, S').  D has depth >= 2, so its projective dimension
+    p is at most m - 2 (Auslander-Buchsbaum), and Ext^(m-2) is the top Ext
+    of D's minimal resolution when p = m - 2, else 0.  D is locally free
+    off the origin iff every Ext^i, 0 < i <= p, has finite length; for
+    m <= 3, p <= 1 and the top one, which needs no kernel, is the only one.
     """
     if not arr.is_central:
         raise InputError("affine_n_value expects the central arrangement "
@@ -459,11 +466,19 @@ def affine_n_value(arr, degree_cap=DEGREE_CAP):
     arity = arr.dim
     d = presentation_of_basis(_derivation_basis(arr, d0=False),
                               GradedFreeModule(arity, [0] * arity))
-    ext1 = ext1_against_ring(module_dual(d))
-    if krull_dim(ext1) > 0:
+    res = d.minimal_resolution()
+    if res.length == 0:
+        return 0
+    if res.length > arity - 2:
+        raise EngineError(f"reflexive D(A'_q) has projective dimension "
+                          f"{res.length} > {arity - 2}")
+    exts = [ext_from_resolution(res, i) for i in range(1, res.length + 1)]
+    if any(krull_dim(ext) > 0 for ext in exts):
         raise HypothesisError("affine non-free locus is not zero-dimensional")
+    if res.length < arity - 2:
+        return 0
     # finite_length would only repeat the Krull dimension check above
-    return total_dimension(ext1, degree_cap=degree_cap)
+    return total_dimension(exts[-1], degree_cap=degree_cap)
 
 
 def _centred_localization(arr, flat, chart=None):

@@ -691,26 +691,29 @@ def module_dual(pres):
     return presentation_of_basis(kernel, F0.dual())
 
 
+def ext_from_resolution(res, i):
+    """Ext^i_S(M, S), 0 < i <= p = ``res.length``, from the minimal
+    resolution ``res`` of M: at i = p the cokernel of phi_p^T on F_p^*;
+    below p, ker(phi_(i+1)^T) modulo im(phi_i^T), presented on generators
+    of the kernel by the syzygies of [kernel | phi_i^T] with only the
+    kernel columns tracked (`kernel_raw(..., tracked=len(kernel))`)."""
+    Fd = res.terms[i].dual()
+    phi_T = _transpose(res.maps[i - 1], res.terms[i - 1].rank)
+    if i == res.length:
+        return GradedModulePresentation(Fd, phi_T)
+    arity = Fd.arity
+    kernel = eng.kernel_raw(_transpose(res.maps[i], Fd.rank),
+                            res.terms[i + 1].rank, arity)
+    if not kernel:
+        return GradedModulePresentation.zero(arity)
+    syz = eng.kernel_raw(kernel + phi_T, Fd.rank, arity, tracked=len(kernel))
+    return GradedModulePresentation(_submodule_target(kernel, Fd), syz)
+
+
 def ext1_against_ring(pres):
-    """Ext^1_S(M, S) as homology of the dualized resolution at step 1:
-    ker(phi_2^T) modulo im(phi_1^T), presented on generators of the
-    kernel.  The relations are the syzygies of [kernel | phi_1^T] projected
-    onto the kernel coordinates; only those m columns are tracked in the
-    elimination (`kernel_raw(..., tracked=m)`), so it never builds the
-    syzygies among the phi_1^T columns alone."""
+    """Ext^1_S(M, S) from the minimal resolution of M
+    (`ext_from_resolution`), zero when M is free."""
     res = pres.minimal_resolution()
     if res.length == 0:
         return GradedModulePresentation.zero(pres.arity)
-    F1d = res.terms[1].dual()
-    phi1_T = _transpose(res.maps[0], res.terms[0].rank)
-    if res.length == 1:
-        return GradedModulePresentation(F1d, phi1_T)
-    phi2_T = _transpose(res.maps[1], res.terms[1].rank)
-    kernel = eng.kernel_raw(phi2_T, res.terms[2].rank, pres.arity)
-    if not kernel:
-        return GradedModulePresentation.zero(pres.arity)
-    # relations: the syzygies of [kernel | phi1_T] projected onto the
-    # kernel coordinates, the only ones the elimination tracks
-    syz = eng.kernel_raw(kernel + phi1_T, F1d.rank, pres.arity,
-                         tracked=len(kernel))
-    return GradedModulePresentation(_submodule_target(kernel, F1d), syz)
+    return ext_from_resolution(res, 1)

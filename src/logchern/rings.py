@@ -8,7 +8,7 @@ on the integer fast path.
 """
 
 from fractions import Fraction
-from math import comb, factorial, gcd, prod
+from math import factorial, gcd
 
 from .errors import ArityMismatchError, InputError, NonUnitError
 
@@ -521,15 +521,6 @@ def binomial_poly(a, k):
     for s in range(1, k + 1):
         out = out * UniPolyQ([s - a, 1])
     return out * Fraction(1, factorial(k))
-
-
-def binom(n, k):
-    """Binomial coefficient for non-negative k and arbitrary integer n."""
-    if k < 0:
-        return 0
-    if n >= 0:
-        return comb(n, k)
-    return prod(n - i for i in range(k)) // factorial(k)
 
 
 def vec_primitive(vec):

@@ -20,11 +20,13 @@ earlier route through the partials of f: D_0 is the syzygy module of
 of the kernel of (f_1, ..., f_l, f), each presented by POT elimination.
 
 The library computes a point's N on A'_q, the localization at the point on
-the chart centred there, with graded modules.  `chart_n_value` keeps the
-earlier route: the localization dehomogenized on an affine chart, its D
-cut out by linear conditions with affine constants, dualized, resolved by
-a raw Schreyer chain and its Ext^1 counted, all ungraded and on the
-engine's term dicts.
+the chart centred there, with graded modules, as the length of the top
+Ext of D(A'_q) read off its own minimal resolution, with no dual.  Both
+oracles here dualize: `affine_n_value` counts Ext^1(D(A'_q)^*, S'), and
+`chart_n_value` keeps the earlier ungraded route: the localization
+dehomogenized on an affine chart, its D cut out by linear conditions with
+affine constants, dualized, resolved by a raw Schreyer chain and its Ext^1
+counted, all on the engine's term dicts.
 
 The library's eliminations for D_0, a point's D and the relations of
 Ext^1 give an identity position only to the coordinates they keep.

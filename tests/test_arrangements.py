@@ -228,6 +228,15 @@ def test_decone_three_lines():
     assert poincare_affine(d).coeffs == (1, 2)
 
 
+def test_decone_restricts_each_hyperplane_to_the_chart():
+    # on 2x + y = 1, x = (1 - y) / 2: x = 0 is y = 1, 3x + y + z = 0 is
+    # y - 2z = 3 and y - z = 0 stays
+    d = decone(Arrangement(3, [(2, 1, 0), (1, 0, 0), (3, 1, 1), (0, 1, -1)]),
+               0)
+    assert d.normals == ((1, 0), (1, -2), (1, -1))
+    assert d.constants == (1, 3, 0)
+
+
 def test_decone_nonfree_octic(octic_arrangement):
     d = decone(octic_arrangement, 3)  # decone at w
     assert d.dim == 3 and d.n == 7

@@ -28,7 +28,7 @@ LINES_FIXED = [[1, -2, 6], [9, -9, -5], [3, 9, 0], [8, 4, -3], [6, -7, -9],
 # (s_pairs, zero_reductions, basis_elements, max_degree)
 PINNED = [
     ("verify", "octic", (56, 29, 65, 6)),
-    ("nval", "octic", (92, 41, 155, 6)),
+    ("nval", "octic", (78, 35, 134, 6)),
     ("verify", "generic6_l4", (89, 51, 75, 4)),
     ("nval", "generic6_l4", (86, 48, 65, 4)),
     ("verify", "lines_fixed", (56, 25, 59, 5)),
@@ -67,7 +67,7 @@ def test_ext1_of_d0_counters_are_pinned():
             stats.max_degree) == (108, 53, 113, 5)
 
 
-@pytest.mark.parametrize("command,calls", [("verify", 130), ("nval", 268),
+@pytest.mark.parametrize("command,calls", [("verify", 130), ("nval", 227),
                                            ("modules", 156), ("chern", 120)])
 def test_every_reduction_goes_through_reduce_full(monkeypatch, command,
                                                   calls):

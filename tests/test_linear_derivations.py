@@ -1,8 +1,10 @@
 """D_0 and the points' modules D cut out by linear conditions, one per
 hyperplane, against the route through the partials of f kept in
-``tests/module_reference.py``; each point's N against the ungraded affine
-chart route kept there; the exact kernel check; and inputs that the
-partials route could not finish."""
+``tests/module_reference.py``; each point's N, which the library reads off
+the top Ext of D(A'_q) with no dual, against the two oracles kept there,
+which dualize D(A'_q): the partials route and the ungraded affine chart
+route; the exact kernel check; and inputs that the partials route could
+not finish."""
 
 from pathlib import Path
 
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 from logchern import (Arrangement, EngineError, InputError, affine_n_value,
                       defining_data, derivation_module_d0, log_geometry,
                       module_dual, per_flat_n_values)
-from logchern.cli import JobConfig, run
+from logchern.cli import JobConfig, load_arrangement, run
 from logchern.log_geometry import _centred_localization
 from tests import module_reference as ref
 from tests.conftest import OCTIC_NORMALS, braid
@@ -76,6 +78,36 @@ def test_linear_route_matches_the_partials_route(arr):
 ], ids=["octic", "generic6_l4", "braid_a4"])
 def test_linear_route_matches_the_partials_route_on_fixed_inputs(normals):
     _assert_routes_agree(Arrangement(len(normals[0]), normals))
+
+
+@pytest.mark.parametrize("spec,nonzero,exts", [
+    # the octic's two points with N > 0, each D of projective dimension 1
+    ("example:nonfree_octic", {"0-1-2-6-7": 2, "2-4-5-7": 1},
+     [(1, 1), (1, 1)]),
+    # [0:0:0:0:1], five generic planes in C^4: D of projective dimension
+    # l - 3 = 2, a finite Ext^1 and the top Ext^2 of length 1
+    (str(FRONTIER / "generic5_x_c_e5.json"), {"0-1-2-3-5": 1},
+     [(2, 1), (2, 2)])], ids=["octic", "generic5_x_c_e5"])
+def test_per_point_n_from_the_top_ext_matches_the_dual_routes(
+        spec, nonzero, exts, monkeypatch):
+    # the library reads each N off D(A'_q)'s own resolution; both oracles
+    # dualize D(A'_q)
+    built = []
+    real = log_geometry.ext_from_resolution
+
+    def recorded(res, i):
+        built.append((res.length, i))
+        return real(res, i)
+    monkeypatch.setattr(log_geometry, "ext_from_resolution", recorded)
+    arr = load_arrangement(spec)
+    values = per_flat_n_values(arr)
+    for flat, n in values.items():
+        local = _centred_localization(arr, flat)
+        assert n == ref.affine_n_value(local) == \
+            ref.chart_n_value(arr, flat), flat
+    assert {"-".join(map(str, sorted(f.indices))): n
+            for f, n in values.items() if n} == nonzero
+    assert built == exts
 
 
 def _corrupting(monkeypatch):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from logchern import (Arrangement, InputError,
+from logchern import (Arrangement, HypothesisError, InputError,
                       MultiPoly, UniPolyQ, affine_n_value, build_lattice,
                       defining_data, derivation_module_d0, freeness_test,
                       hilbert_function, hilbert_polynomial, log_derivations,
@@ -16,7 +16,8 @@ from logchern.log_geometry import _centred_localization
 from logchern.modules import hilbert_numerators, krull_dim
 from tests import module_reference as ref
 from tests import wedge_reference as wedge
-from tests.conftest import BRAID_TRIPLE, CORPUS, GENERIC4, GENERIC5, boolean
+from tests.conftest import (BRAID_TRIPLE, CORPUS, GENERIC4, GENERIC5,
+                            OCTIC_NORMALS, boolean)
 
 
 def _pipeline(arr):
@@ -313,8 +314,8 @@ def test_normal_crossing_points_have_n_zero(spec):
 
 def test_affine_n_reads_the_hilbert_numerators_twice_per_chart(
         octic_arrangement, octic_lattice, monkeypatch):
-    # once for the Krull dimension check, once for the length, on each of
-    # the 7 A'_q that are not normal crossings
+    # once for the Krull dimension check, once for the length, on each
+    # A'_q whose D is not free: 2 of the 7 that are not normal crossings
     calls = []
 
     def counted(pres):
@@ -322,7 +323,44 @@ def test_affine_n_reads_the_hilbert_numerators_twice_per_chart(
         return hilbert_numerators(pres)
     monkeypatch.setattr(modules, "hilbert_numerators", counted)
     per_flat_n_values(octic_arrangement, lattice=octic_lattice)
-    assert len(calls) == 2 * 7
+    assert len(calls) == 2 * 2
+
+
+OCTIC_X_C = [a + (0,) for a in OCTIC_NORMALS]
+
+
+@pytest.mark.parametrize("normals", [OCTIC_X_C, OCTIC_X_C + [(1, 2, 3, 5, 7)]],
+                         ids=["octic_x_C", "octic_x_C_plus"])
+def test_per_flat_n_rejects_a_non_isolated_locus(normals):
+    # at the offending points D(A'_q) has projective dimension 1 in 4
+    # variables, and its top Ext^1 has positive dimension
+    with pytest.raises(HypothesisError, match="not zero-dimensional"):
+        per_flat_n_values(Arrangement(5, normals))
+
+
+def test_a_finite_top_ext_does_not_hide_a_non_free_line(monkeypatch):
+    # the octic's rich point times C, plus two generic planes: D has
+    # projective dimension 2 and a top Ext^2 of finite length, but it is
+    # not free along the line z_1 = z_2 = z_3 = 0, where Ext^1 lives
+    rich = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, -1, 1)]
+    local = Arrangement(4, [a + (0,) for a in rich]
+                        + [(1, 1, 1, 1), (1, 2, 3, 5)])
+    with pytest.raises(HypothesisError, match="not zero-dimensional"):
+        ref.affine_n_value(local)
+    dims = {}
+    real = log_geometry.ext_from_resolution
+
+    def recorded(res, i):
+        ext = real(res, i)
+        dims[res.length, i] = krull_dim(ext)
+        return ext
+    monkeypatch.setattr(log_geometry, "ext_from_resolution", recorded)
+    with pytest.raises(HypothesisError, match="not zero-dimensional"):
+        affine_n_value(local)
+    assert dims == {(2, 2): 0, (2, 1): 1}
+    # the same A'_q at the one point of the cone over it
+    with pytest.raises(HypothesisError, match="not zero-dimensional"):
+        per_flat_n_values(Arrangement(5, [a + (0,) for a in local.normals]))
 
 
 def test_per_flat_requires_central():

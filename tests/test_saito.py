@@ -113,3 +113,15 @@ def test_a_failed_saito_determinant_is_an_engine_error(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert json.loads(out)["error"]["type"] == "engine"
     assert "Traceback" not in out + err
+
+
+def test_verify_certifies_a_free_d0_by_the_saito_determinant(monkeypatch):
+    # a free Omega^1_0 makes verify run freeness_test on D_0, whose
+    # exponents Terao's check reads
+    monkeypatch.setattr(log_geometry, "_saito_check", lambda dd, rows: False)
+    report, code = run(JobConfig("verify", "example:boolean_l4",
+                                 fmt="json"))
+    assert code == 3
+    assert report["error"] == {
+        "type": "engine",
+        "message": "free D_0 failed the Saito determinant check"}
