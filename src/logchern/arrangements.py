@@ -36,8 +36,9 @@ def _eliminate(vec, row, pc):
 
 
 def _reduce(rows, vec):
-    """A positive multiple of ``vec`` minus a combination of the canonical
-    echelon ``rows``, zero in every pivot column of ``rows``."""
+    """A positive multiple of ``vec`` minus a combination of the triangular
+    ``rows`` (positive pivots, each row zero at the pivots of the rows
+    before it), zero in every pivot column of ``rows``."""
     for row in rows:
         pc = _pivot(row)
         if vec[pc]:
@@ -77,10 +78,11 @@ def rref(rows):
     return reduce(extend, rows, ())
 
 
-def in_row_span(vec, rref_rows):
-    """Membership of a vector in the span of canonical echelon rows (as
-    returned by ``rref``): its reduction against them is zero."""
-    return not any(_reduce(rref_rows, vec))
+def in_row_span(vec, rows):
+    """Membership of a vector in the span of triangular rows (as returned
+    by ``rref`` or held by a ``Flat``): its reduction against them is
+    zero."""
+    return not any(_reduce(rows, vec))
 
 
 def nullspace(rref_rows, ncols):
@@ -270,36 +272,33 @@ def parse_arrangement(source):
 class Flat:
     """A flat of the intersection lattice.
 
-    Identified by its closed hyperplane index set; carries the canonical
-    integer echelon form (``rref``) of its defining equations, augmented
-    with the integer constants column in the affine case.
+    Identified by its closed hyperplane index set.  Its equations are a
+    triangular chain of primitive integer rows, each with a positive pivot
+    and zero at the pivots of the rows before it, augmented with the
+    integer constants column in the affine case.
     """
 
-    __slots__ = ("indices", "equations", "codim", "ambient_dim", "affine")
+    __slots__ = ("indices", "equations", "codim", "ambient_dim")
 
-    def __init__(self, indices, equations, codim, ambient_dim, affine):
+    def __init__(self, indices, equations, codim, ambient_dim):
         self.indices = frozenset(indices)
         self.equations = equations
         self.codim = codim
         self.ambient_dim = ambient_dim
-        self.affine = affine
 
     def subspace_basis(self):
         """Basis of the linear part (directions) of the flat."""
-        rows = self.equations
-        if self.affine:
-            rows = rref(r[:-1] for r in rows)
-        return nullspace(rows, self.ambient_dim)
+        dim = self.ambient_dim
+        return nullspace(rref(r[:dim] for r in self.equations), dim)
 
     def sort_key(self):
         return (self.codim, tuple(sorted(self.indices)))
 
     def __eq__(self, other):
-        return isinstance(other, Flat) and self.indices == other.indices \
-            and self.equations == other.equations
+        return isinstance(other, Flat) and self.indices == other.indices
 
     def __hash__(self):
-        return hash((self.indices, self.equations))
+        return hash(self.indices)
 
     def __repr__(self):
         return f"Flat(codim={self.codim}, indices={sorted(self.indices)})"
@@ -317,7 +316,7 @@ class IntersectionLattice:
     def __init__(self, arrangement, levels):
         self.arrangement = arrangement
         self.levels = [sorted(lv, key=Flat.sort_key) for lv in levels]
-        self.mobius_values = None
+        compute_mobius(self)
 
     @property
     def rank(self):
@@ -337,14 +336,10 @@ class IntersectionLattice:
         return self.levels[0][0]
 
     def mobius(self, flat):
-        if self.mobius_values is None:
-            compute_mobius(self)
         return self.mobius_values[flat.indices]
 
     def report(self):
         """Deterministic lattice summary: flats by codim with mu values."""
-        if self.mobius_values is None:
-            compute_mobius(self)
         out = []
         for c, lv in enumerate(self.levels):
             out.append({
@@ -360,38 +355,42 @@ def build_lattice(arr):
     """All flats by breadth-first intersection.  Affine mode drops empty
     intersections.
 
-    A flat is keyed by the canonical integer echelon form of its equations
-    (augmented with the constants column in the affine case, which is
-    canonical for consistent systems).  The covers of a flat X are the
-    distinct results of ``extend(X.equations, row_h)`` over the h not in
-    X; in affine mode a result with a row of zero normal part is empty and
-    dropped.  A cover Y holds the hyperplanes of X and every h whose
-    extension gave Y: for h in Y but not in X, X meet H_h has codimension
-    codim X + 1 and contains Y, so it is Y.  Codimension equals rank, so
-    two levels never share a flat.  Everything here is integer arithmetic.
+    A flat is its closed index set.  For a flat X and each h not in X,
+    h's row (augmented with its constant in the affine case) is reduced
+    once against X's triangular rows and made primitive.  The residual is
+    zero at X's pivots, so it is unique up to scale modulo the span of X's
+    rows: h and h' give the same cover exactly when their residuals agree.
+    Since X is closed, that cover holds X's hyperplanes and that group,
+    and its rows are X's rows plus the residual, whose pivot is its first
+    nonzero entry.  In affine mode a residual with zero normal part means X
+    meet H_h is empty and is dropped.  Codimension equals rank, so two
+    levels never share a flat.  Everything here is integer arithmetic.
     """
     dim = arr.dim
     affine = not arr.is_central
     eqrows = arr.normals
     if affine:
         eqrows = [v + (c,) for v, c in zip(eqrows, arr.constants)]
-    current = [Flat((), (), 0, dim, affine)]
+    current = [Flat((), (), 0, dim)]
     levels = [current]
     while True:
         covers = {}
         for flat in current:
+            groups = {}
             for h in range(arr.n):
                 if h in flat.indices:
                     continue
-                eqs = extend(flat.equations, eqrows[h])
-                if affine and any(not any(row[:-1]) for row in eqs):
+                r = vec_primitive(_reduce(flat.equations, eqrows[h]))
+                if affine and not any(r[:-1]):
                     continue
-                covers.setdefault(eqs, set(flat.indices)).add(h)
+                groups.setdefault(r, set()).add(h)
+            for r, group in groups.items():
+                covers.setdefault(flat.indices | group,
+                                  flat.equations + (r,))
         if not covers:
             break
         codim = len(levels)
-        current = [Flat(idx, eqs, codim, dim, affine)
-                   for eqs, idx in covers.items()]
+        current = [Flat(idx, eqs, codim, dim) for idx, eqs in covers.items()]
         levels.append(current)
     return IntersectionLattice(arr, levels)
 
@@ -416,8 +415,8 @@ def compute_mobius(lat):
 
 
 def mobius(lat):
-    """Spec-facing alias: annotate and return the lattice."""
-    return compute_mobius(lat)
+    """Spec-facing alias: the lattice, whose Moebius values come with it."""
+    return lat
 
 
 class PoincarePoly:
@@ -475,8 +474,6 @@ class PoincarePoly:
 def poincare_affine(arr, lattice=None):
     """pi(A, t) = sum_X mu(X) (-t)^rank(X) over the intersection lattice."""
     lat = lattice or build_lattice(arr)
-    if lat.mobius_values is None:
-        compute_mobius(lat)
     coeffs = [0] * (lat.rank + 1)
     for c, lv in enumerate(lat.levels):
         s = sum(lat.mobius_values[f.indices] for f in lv)

@@ -282,17 +282,40 @@ def test_random_lattices_match_brute_force():
                                  decone(Arrangement(5, braid(5)), 0),
                                  Arrangement(6, braid(6))],
                          ids=["braid_a4", "braid_a4_deconed", "braid_a5"])
-def test_build_lattice_takes_one_extension_per_flat_and_hyperplane(
-        arr, monkeypatch):
-    # one echelon step per flat X and hyperplane h not in X
-    calls = []
+def test_build_lattice_reduces_once_per_flat_and_hyperplane(arr,
+                                                           monkeypatch):
+    # one reduction per flat X and hyperplane h not in X, no echelon
+    # extension, and one Flat per closed index set
+    reductions, built = [], []
+    reduce_row = arrangements._reduce
 
     def counted(rows, vec):
-        calls.append(1)
-        return extend(rows, vec)
-    monkeypatch.setattr(arrangements, "extend", counted)
+        reductions.append(1)
+        return reduce_row(rows, vec)
+
+    def forbidden(*args):
+        raise AssertionError("build_lattice extends echelon rows")
+
+    class CountedFlat(Flat):
+        __slots__ = ()
+
+        def __init__(self, indices, *args):
+            built.append(frozenset(indices))
+            super().__init__(indices, *args)
+    monkeypatch.setattr(arrangements, "_reduce", counted)
+    monkeypatch.setattr(arrangements, "extend", forbidden)
+    monkeypatch.setattr(arrangements, "Flat", CountedFlat)
     lat = build_lattice(arr)
-    assert len(calls) == sum(arr.n - len(f.indices) for f in lat.all_flats())
+    assert len(reductions) == sum(arr.n - len(f.indices)
+                                  for f in lat.all_flats())
+    assert len(built) == len(set(built))
+    assert set(built) == {f.indices for f in lat.all_flats()}
+    rows = arr.normals if arr.is_central else \
+        [v + (c,) for v, c in zip(arr.normals, arr.constants)]
+    for indices in built:
+        eqs = ref.rref([rows[i] for i in indices])
+        assert indices == {i for i in range(arr.n)
+                           if ref.in_row_span(rows[i], eqs)}
 
 
 @pytest.mark.parametrize("arr", [Arrangement(5, braid(5)),
@@ -369,7 +392,7 @@ def test_integer_echelon_matches_fraction_reference(system):
     assert in_row_span(combo, eqs)
     for v in (vec, combo):
         assert in_row_span(v, eqs) == ref.in_row_span(v, ref_eqs)
-    flat = Flat((), eqs, len(eqs), ncols, affine)
+    flat = Flat((), eqs, len(eqs), ncols)
     normal_part = [row[:ncols] for row in rows]
     assert flat.subspace_basis() == ref.nullspace(ref.rref(normal_part),
                                                   ncols)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from logchern import PoincarePoly, chern_csm, log_geometry
+from logchern import Arrangement, PoincarePoly, chern_csm, cli, log_geometry
 from logchern.cli import (JobConfig, bundled_examples, load_arrangement,
                           main, render, run)
 from logchern.errors import EngineError, InputError
@@ -65,6 +65,32 @@ def test_poincare_command_renders_both_polynomials():
     assert res["pi_affine"]["coeffs"] == [1, 3, 3, 1]
     assert res["pi_projective"]["coeffs"] == [1, 2, 1]
     assert res["decone_check"]["factorization_holds"] is True
+
+
+def test_poincare_reports_a_failed_deconing_check(monkeypatch):
+    # a decone that loses a hyperplane breaks (1 + t) pi(dA) = pi(A); the
+    # check reports it and the job still succeeds
+    real = cli.decone
+
+    def lossy(arr, h_index):
+        d = real(arr, h_index)
+        return Arrangement(d.dim, d.normals[1:], constants=d.constants[1:])
+    monkeypatch.setattr(cli, "decone", lossy)
+    report, code = run(_job("poincare", "example:boolean_l3", fmt="json"))
+    assert code == 0
+    assert report["result"]["decone_check"]["factorization_holds"] is False
+
+
+def test_text_reports_render_successful_results():
+    # nested results, polynomial entries and scalars in text mode
+    lines = []
+    for command in ("verify", "poincare"):
+        report, code = run(_job(command, "example:nonfree_octic"))
+        assert code == 0
+        lines += render(report, "text").splitlines()
+    assert "  N: 3" in lines
+    assert "    lhs: 1 - 4h + 7h^2 - 2h^3" in lines
+    assert "    factorization_holds: True" in lines
 
 
 def test_nval_command_on_locally_free_not_free():
@@ -334,13 +360,13 @@ def test_chern_and_verify_reports_match_the_golden_file(name, spec):
 LATTICE_GOLDEN = Path(__file__).parent / "data" / "lattice_golden.json"
 
 
-@pytest.mark.parametrize("name", [name for name, _ in bundled_examples()])
-def test_lattice_reports_match_the_golden_file(name):
+@pytest.mark.parametrize("name,spec", CORPUS, ids=[n for n, _ in CORPUS])
+def test_lattice_reports_match_the_golden_file(name, spec):
     # the lattice, poincare and csm results; CI compares the installed
-    # script with the same file
+    # script (bundled examples) and the frontier inputs with the same file
     golden = json.loads(LATTICE_GOLDEN.read_text())[name]
     for command in ("lattice", "poincare", "csm"):
-        report, code = run(_job(command, f"example:{name}", fmt="json"))
+        report, code = run(_job(command, spec, fmt="json"))
         assert code == 0
         assert json.loads(render(report, "json"))["result"] == \
             golden[command], command
