@@ -355,43 +355,75 @@ def build_lattice(arr):
     """All flats by breadth-first intersection.  Affine mode drops empty
     intersections.
 
-    A flat is its closed index set.  For a flat X and each h not in X,
-    h's row (augmented with its constant in the affine case) is reduced
-    once against X's triangular rows and made primitive.  The residual is
-    zero at X's pivots, so it is unique up to scale modulo the span of X's
-    rows: h and h' give the same cover exactly when their residuals agree.
-    Since X is closed, that cover holds X's hyperplanes and that group,
-    and its rows are X's rows plus the residual, whose pivot is its first
-    nonzero entry.  In affine mode a residual with zero normal part means X
-    meet H_h is empty and is dropped.  Codimension equals rank, so two
-    levels never share a flat.  Everything here is integer arithmetic.
+    A flat is its closed index set.  A flat X holds, for each h not in X,
+    the primitive residual of h's row (augmented with its constant in the
+    affine case) modulo X's triangular rows.  The residual is zero at X's
+    pivots, so it is unique up to scale modulo the span of X's rows: h and
+    h' give the same cover exactly when their residuals agree.  Since X is
+    closed, that cover holds X's hyperplanes and that group, and its rows
+    are X's rows plus the residual r, whose pivot is its first nonzero
+    entry.  The cover's residuals are X's, each eliminated once against r:
+    reducing against X's rows and then r is reducing against the cover's
+    rows, a nonzero multiple of a vector reduces to a nonzero multiple of
+    its residual, and the primitive form fixes scale and sign.  The first
+    parent to reach a cover gives its rows and its residuals.  In affine
+    mode a residual with zero normal part means X meet H_h is empty and is
+    dropped.  Codimension equals rank, so two levels never share a flat.
+
+    Let top be the rank of the normals, read off one triangular chain of
+    them.  The residuals of a central flat of codim top - 1 span one line,
+    so its one cover is the center, all hyperplanes, with the first such
+    flat's rows plus one residual; an affine flat of codim top has no
+    cover, as every residual has zero normal part.  Flats of those levels
+    carry no residuals.  Everything here is integer arithmetic.
     """
     dim = arr.dim
-    affine = not arr.is_central
+    central = arr.is_central
     eqrows = arr.normals
-    if affine:
+    if not central:
         eqrows = [v + (c,) for v, c in zip(eqrows, arr.constants)]
-    current = [Flat((), (), 0, dim)]
-    levels = [current]
-    while True:
+    chain = []
+    for v in arr.normals:
+        v = _reduce(chain, v)
+        if any(v):
+            chain.append(vec_primitive(v))
+    top = len(chain)
+    last = top - 1 if central else top  # the last codim built from residuals
+    bottom = Flat((), (), 0, dim)
+    levels = [[bottom]]
+    current = [(bottom, {h: vec_primitive(row) for h, row in enumerate(eqrows)}
+                if last > 0 else None)]
+    for codim in range(1, last + 1):
         covers = {}
-        for flat in current:
+        for flat, residuals in current:
             groups = {}
-            for h in range(arr.n):
-                if h in flat.indices:
-                    continue
-                r = vec_primitive(_reduce(flat.equations, eqrows[h]))
-                if affine and not any(r[:-1]):
-                    continue
-                groups.setdefault(r, set()).add(h)
+            for h, r in residuals.items():
+                groups.setdefault(r, []).append(h)
             for r, group in groups.items():
-                covers.setdefault(flat.indices | group,
-                                  flat.equations + (r,))
-        if not covers:
-            break
-        codim = len(levels)
-        current = [Flat(idx, eqs, codim, dim) for idx, eqs in covers.items()]
-        levels.append(current)
+                indices = flat.indices.union(group)
+                if indices in covers:
+                    continue
+                carried = None
+                if codim < last:
+                    pc = _pivot(r)
+                    carried = {}
+                    for h, v in residuals.items():
+                        if h in indices:
+                            continue
+                        if v[pc]:
+                            v = vec_primitive(_eliminate(v, r, pc))
+                            if not central and not any(v[:-1]):
+                                continue
+                        carried[h] = v
+                covers[indices] = (flat.equations + (r,), carried)
+        current = [(Flat(indices, eqs, codim, dim), carried)
+                   for indices, (eqs, carried) in covers.items()]
+        levels.append([flat for flat, _ in current])
+    if central and top:
+        flat = levels[-1][0]
+        h = min(set(range(arr.n)) - flat.indices)
+        r = vec_primitive(_reduce(flat.equations, eqrows[h]))
+        levels.append([Flat(range(arr.n), flat.equations + (r,), top, dim)])
     return IntersectionLattice(arr, levels)
 
 

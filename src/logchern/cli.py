@@ -18,6 +18,7 @@ fails once its flags are valid still prints a schema report, whose
 
 import argparse
 import json
+import os
 import sys
 import time
 from importlib import resources
@@ -377,18 +378,31 @@ def build_parser():
     return parser
 
 
+def _print_stdout(text):
+    """Print ``text``; a reader that closes the pipe early (``| head``)
+    gets no traceback."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python flushes stdout again at exit: send what is left to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     if args.command == "examples":
         items = bundled_examples()
         if args.format == "json":
-            print(json.dumps({"schema": SCHEMA, "command": "examples",
-                              "examples": [
-                                  {"name": n, "path": p} for n, p in items]},
-                             indent=1, sort_keys=True))
+            _print_stdout(json.dumps(
+                {"schema": SCHEMA, "command": "examples",
+                 "examples": [{"name": n, "path": p} for n, p in items]},
+                indent=1, sort_keys=True))
         else:
-            for name, path in items:
-                print(f"{name}: {path}")
+            _print_stdout("\n".join(f"{name}: {path}"
+                                    for name, path in items))
         return 0
     try:
         config = JobConfig(args.command, args.input, fmt=args.format,
@@ -399,7 +413,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 1
     report, code = run(config)
-    print(render(report, config.fmt))
+    _print_stdout(render(report, config.fmt))
     return code
 
 

@@ -1,13 +1,21 @@
-"""Reference route for the lattice layer's linear algebra: Fraction echelon.
+"""Reference routes for the lattice layer.
 
 The library's ``rref`` returns canonical integer echelon rows built by
 fraction-free elimination.  This module keeps the reduced row echelon form
 over Q in ``fractions.Fraction`` (pivots 1), with its span membership test
 and nullspace, as an independent oracle: the brute-force flat enumeration
 in the tests runs on it, and a property test compares the library with it.
+
+``build_lattice`` carries each flat's residuals to its covers and skips the
+level whose covers are known in advance.  ``build_lattice_by_reduction``
+keeps the direct loop it replaced: every (flat, hyperplane not in it) pair
+reduced from scratch against all of the flat's rows, on every level.
 """
 
 from fractions import Fraction
+
+from logchern.arrangements import Flat, IntersectionLattice, _reduce
+from logchern.rings import vec_primitive
 
 
 def rref(rows):
@@ -69,3 +77,36 @@ def nullspace(rref_rows, ncols):
             v[pc] = -row[fc]
         basis.append(tuple(v))
     return basis
+
+
+def build_lattice_by_reduction(arr):
+    """The intersection lattice of ``arr``, each residual reduced from
+    scratch: the same flats, rows, order and Moebius values as
+    ``build_lattice``."""
+    dim = arr.dim
+    affine = not arr.is_central
+    eqrows = arr.normals
+    if affine:
+        eqrows = [v + (c,) for v, c in zip(eqrows, arr.constants)]
+    current = [Flat((), (), 0, dim)]
+    levels = [current]
+    while True:
+        covers = {}
+        for flat in current:
+            groups = {}
+            for h in range(arr.n):
+                if h in flat.indices:
+                    continue
+                r = vec_primitive(_reduce(flat.equations, eqrows[h]))
+                if affine and not any(r[:-1]):
+                    continue
+                groups.setdefault(r, set()).add(h)
+            for r, group in groups.items():
+                covers.setdefault(flat.indices | group,
+                                  flat.equations + (r,))
+        if not covers:
+            break
+        codim = len(levels)
+        current = [Flat(idx, eqs, codim, dim) for idx, eqs in covers.items()]
+        levels.append(current)
+    return IntersectionLattice(arr, levels)

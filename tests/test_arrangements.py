@@ -13,6 +13,8 @@ from logchern import (Arrangement, InputError, build_lattice, decone,
                       poincare_affine, poincare_projective)
 from logchern import arrangements
 from logchern.arrangements import Flat, extend, in_row_span, rref
+from logchern.rings import vec_primitive
+from perfbench import inputs
 from tests import lattice_reference as ref
 from tests.conftest import OCTIC_NORMALS, boolean, braid
 
@@ -278,20 +280,26 @@ def test_random_lattices_match_brute_force():
         assert lattice_flats(build_lattice(arr)) == brute_force_flats(arr)
 
 
-@pytest.mark.parametrize("arr", [Arrangement(5, braid(5)),
-                                 decone(Arrangement(5, braid(5)), 0),
-                                 Arrangement(6, braid(6))],
+@pytest.mark.parametrize("arr,eliminations",
+                         [(Arrangement(5, braid(5)), 134),
+                          (decone(Arrangement(5, braid(5)), 0), 122),
+                          (Arrangement(6, braid(6)), 832)],
                          ids=["braid_a4", "braid_a4_deconed", "braid_a5"])
-def test_build_lattice_reduces_once_per_flat_and_hyperplane(arr,
-                                                           monkeypatch):
-    # one reduction per flat X and hyperplane h not in X, no echelon
-    # extension, and one Flat per closed index set
-    reductions, built = [], []
-    reduce_row = arrangements._reduce
+def test_build_lattice_carries_residuals_and_skips_the_last_level(
+        arr, eliminations, monkeypatch):
+    # n reductions for the rank chain and one for the center; every other
+    # residual is one elimination per (cover, hyperplane not in it), and
+    # the flats of the skipped level carry none; no echelon extension, and
+    # one Flat per closed index set
+    calls, built = {"_reduce": 0, "_eliminate": 0}, []
 
-    def counted(rows, vec):
-        reductions.append(1)
-        return reduce_row(rows, vec)
+    def counted(name):
+        function = getattr(arrangements, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+        return wrapper
 
     def forbidden(*args):
         raise AssertionError("build_lattice extends echelon rows")
@@ -302,12 +310,16 @@ def test_build_lattice_reduces_once_per_flat_and_hyperplane(arr,
         def __init__(self, indices, *args):
             built.append(frozenset(indices))
             super().__init__(indices, *args)
-    monkeypatch.setattr(arrangements, "_reduce", counted)
+    for name in calls:
+        monkeypatch.setattr(arrangements, name, counted(name))
     monkeypatch.setattr(arrangements, "extend", forbidden)
     monkeypatch.setattr(arrangements, "Flat", CountedFlat)
     lat = build_lattice(arr)
-    assert len(reductions) == sum(arr.n - len(f.indices)
-                                  for f in lat.all_flats())
+    top = len(ref.rref(arr.normals))
+    skipped = top - 1 if arr.is_central else top
+    assert calls["_reduce"] == arr.n + arr.is_central
+    assert calls["_eliminate"] == eliminations <= arr.n * top + sum(
+        arr.n - len(f.indices) for f in lat.all_flats() if f.codim < skipped)
     assert len(built) == len(set(built))
     assert set(built) == {f.indices for f in lat.all_flats()}
     rows = arr.normals if arr.is_central else \
@@ -316,6 +328,60 @@ def test_build_lattice_reduces_once_per_flat_and_hyperplane(arr,
         eqs = ref.rref([rows[i] for i in indices])
         assert indices == {i for i in range(arr.n)
                            if ref.in_row_span(rows[i], eqs)}
+
+
+def _levels(lat):
+    return [[(f.indices, f.equations, f.codim, lat.mobius(f)) for f in lv]
+            for lv in lat.levels]
+
+
+def _with_decones(arrs, count):
+    out = []
+    for arr in arrs:
+        out.append(arr)
+        out += [decone(arr, h) for h in range(min(count, arr.n))]
+    return out
+
+
+def _differential_inputs(group):
+    rng = random.Random(27)
+    if group == "random":
+        # entries in [-2, 2], l 2-5, n 1-9, with up to three decones each
+        arrs = []
+        while len(arrs) < 60:
+            l, n = rng.randint(2, 5), rng.randint(1, 9)
+            normals = {vec_primitive([rng.randint(-2, 2) for _ in range(l)])
+                       for _ in range(3 * n)} - {(0,) * l}
+            if len(normals) >= n:
+                arrs.append(Arrangement(l, sorted(normals)[:n]))
+        return _with_decones(arrs, 3)
+    if group == "cylinders":
+        # X x C^k: the rank of the normals is below the dimension
+        return _with_decones(
+            [Arrangement(arr.dim + k, [v + (0,) * k for v in arr.normals])
+             for arr in (Arrangement(4, OCTIC_NORMALS),
+                         Arrangement(4, braid(4)), boolean(2))
+             for k in (1, 2)], 2)
+    if group == "one_hyperplane":
+        # top = 1: the skipped level is the bottom
+        return _with_decones([Arrangement(3, [(1, 2, -1)])], 1) + \
+            [Arrangement(1, [(1,)])]
+    if group == "braid":
+        return _with_decones([Arrangement(5, braid(5)),
+                              Arrangement(6, braid(6))], 2)
+    # the seeded inputs of the benchmark's lattice workload
+    return [Arrangement(l, rows) for seed in (0, 1)
+            for l, rows, _ in inputs.arrangements("lattice", seed).values()]
+
+
+@pytest.mark.parametrize("group", ["random", "cylinders", "one_hyperplane",
+                                   "braid", "bench_lattice"])
+def test_build_lattice_matches_reduction_from_scratch(group):
+    # carrying residuals and skipping the last level change no flat, row,
+    # order or Moebius value of the direct per-(flat, hyperplane) loop
+    for arr in _differential_inputs(group):
+        assert _levels(build_lattice(arr)) == \
+            _levels(ref.build_lattice_by_reduction(arr)), arr.to_dict()
 
 
 @pytest.mark.parametrize("arr", [Arrangement(5, braid(5)),

@@ -1,6 +1,9 @@
 """CLI behavior: commands, formats, exit codes, determinism."""
 
+import errno
 import json
+import os
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -302,6 +305,43 @@ def test_examples_command_lists_names(capsys):
     assert main(["examples"]) == 0
     out = capsys.readouterr().out
     assert "nonfree_octic" in out
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write raises EPIPE."""
+
+    def __init__(self, fd):
+        self.fd, self.writes = fd, 0
+
+    def write(self, text):
+        self.writes += 1
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["lattice", "example:boolean_l3"], 0),
+    (["verify", "example:boolean_l5"], 2),
+    (["examples"], 0),
+    (["examples", "--format", "json"], 0)])
+def test_closed_stdout_gives_exit_code_and_no_traceback(argv, code, tmp_path,
+                                                        capsys, monkeypatch):
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        pipe = _ClosedPipe(fd)
+        monkeypatch.setattr(sys, "stdout", pipe)
+        assert main(argv) == code
+        assert pipe.writes
+        # the interpreter's flush at exit writes to devnull
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+    assert capsys.readouterr().err == ""
 
 
 def test_resolution_command_dumps_twists():
