@@ -183,6 +183,14 @@ def _cmd_modules(arr, config):
     return out
 
 
+def _require_projective(arr, command):
+    """Reject l < 2 before any module is built: `chern` and `nval` read
+    classes and points of P^(l-1)."""
+    if arr.dim < 2:
+        raise InputError(f"{command} needs an arrangement in C^l with "
+                         f"l >= 2; the input has l = {arr.dim}")
+
+
 def _cmd_resolution(arr, config):
     _, d0, _, om1, om0 = log_modules(arr)
     return {
@@ -193,6 +201,7 @@ def _cmd_resolution(arr, config):
 
 
 def _cmd_chern(arr, config):
+    _require_projective(arr, "chern")
     _, d0, _, _, om0 = log_modules(arr)
     l = arr.dim
     ct_dual = chern_from_hilbert(d0.presentation, 1, l)
@@ -207,6 +216,7 @@ def _cmd_chern(arr, config):
 
 
 def _cmd_nval(arr, config):
+    _require_projective(arr, "nval")
     om0 = log_modules(arr)[-1]
     fr = freeness_test(om0)
     nfl = nonfree_locus(om0, per_flat=True, chart=config.chart,

@@ -32,26 +32,27 @@ All reductions are fraction-free (scale by the reducer's leading
 coefficient, strip integer content afterwards), so no rational arithmetic
 happens in the inner loops.
 
-Reduction keeps the remainder's terms in a heap ordered by the order key
+Reduction keeps the remainder's terms in a heap of their int order keys
 (smaller key = larger term, see `orders`), so each step pops the leading
-term instead of rescanning the remainder (Monagan & Pearce, CASC 2007).
-Terms that cancel stay in the heap and are skipped when popped.
+term instead of rescanning the remainder (Monagan & Pearce, CASC 2007);
+the popped key reads its term back from the order's inverse memo.  Each
+term is pushed once per reduction: a term that cancels stays in the
+remainder with coefficient 0 until its key is popped, and is then dropped.
 
 Pair management follows the Gebauer-Moeller UPDATE routine with the chain
 criterion; the coprimality criterion is applied only when both elements are
 supported in a single component, where the ideal-case proof applies.
 Pairs are selected by the "normal" strategy, lowest degree of the lcm
 first (Giovini et al., ISSAC 1991), and within one degree the smallest lcm
-in the module order first.
+in the module order first: the pair queue holds ``(degree, -key, i, j)``.
 """
 
 import heapq
 from math import gcd
 
 from .errors import EngineError
-from .orders import FIELD_BITS, POTOrder, SchreyerOrder, overflow_error
-
-FIELD_MASK = (1 << FIELD_BITS) - 1
+from .orders import (FIELD_BITS, FIELD_MASK, POTOrder, SchreyerOrder,
+                     overflow_error)
 
 
 class EngineStats:
@@ -127,7 +128,10 @@ class BasisElem:
     __slots__ = ("lead", "lc", "tail", "single", "order")
 
     def __init__(self, d, order):
-        lead = min(d, key=order.key)
+        cache = order._cache
+        key = order.key
+        lead = order._term[min(cache[t] if t in cache else key(t)
+                               for t in d)]
         if d[lead] < 0:
             for k in d:
                 d[k] = -d[k]
@@ -214,19 +218,32 @@ def reduce_full(d, by_pos, order, *, track=None, exact=False):
     the input reduces to zero the final track is therefore a syzygy.  Unless
     ``exact`` is set, the result (and track) are stripped of integer
     content, losing the meaning of ``scale``.
+
+    The heap holds the int keys of the terms of ``d``, each pushed once:
+    a term that cancels keeps coefficient 0 in ``d`` until its key is
+    popped.  Keys are read from the order's memo, and ``order.key`` is
+    called only on a miss.  ``d`` is taken over and left in no defined
+    state; ``track`` is scaled and updated in place, so the caller can read
+    the syzygy from it.
     """
     result = {}
     scale = 1
     key = order.key
+    cached = order._cache.get
+    term_of = order._term
     shift = order.shift
     guard = order.guard
-    heap = [(key(t), t) for t in d]
+    heap = []
+    for t in d:
+        k = cached(t)
+        heap.append(key(t) if k is None else k)
     heapq.heapify(heap)
     pop = heapq.heappop
     push = heapq.heappush
     while heap:
-        t = pop(heap)[1]
-        if t not in d:
+        t = term_of[pop(heap)]
+        c = d.pop(t)
+        if not c:
             continue
         red = None
         idx = -1
@@ -237,17 +254,14 @@ def reduce_full(d, by_pos, order, *, track=None, exact=False):
                 idx = i
                 break
         if red is None:
-            result[t] = d.pop(t)
+            result[t] = c
             continue
-        c = d.pop(t)
         q = gcd(c, red.lc)
         mult_all = red.lc // q
         mult_g = c // q
         if mult_all != 1:
-            for k in d:
-                d[k] *= mult_all
-            for k in result:
-                result[k] *= mult_all
+            d = {k: v * mult_all for k, v in d.items()}
+            result = {k: v * mult_all for k, v in result.items()}
             if track is not None:
                 for k in track:
                     track[k] *= mult_all
@@ -260,13 +274,10 @@ def reduce_full(d, by_pos, order, *, track=None, exact=False):
                 if k & guard:
                     raise overflow_error(order.exponents(k))
                 d[k] = -mult_g * gc
-                push(heap, (key(k), k))
-                continue
-            s = old - mult_g * gc
-            if s:
-                d[k] = s
+                kk = cached(k)
+                push(heap, key(k) if kk is None else kk)
             else:
-                del d[k]
+                d[k] = old - mult_g * gc
         if track is not None:
             k = (idx << shift) + u
             s = track.get(k, 0) - mult_g
@@ -333,21 +344,6 @@ def spair(g1, g2, track_indices=None):
     return s, rep
 
 
-class _Ascending:
-    """Heap wrapper around an order key: the smaller term compares less."""
-
-    __slots__ = ("k",)
-
-    def __init__(self, k):
-        self.k = k
-
-    def __lt__(self, other):
-        return other.k < self.k
-
-    def __eq__(self, other):
-        return self.k == other.k
-
-
 def buchberger(gens, order, from_pos=0):
     """Reduced Groebner basis of the submodule generated by ``gens``.
 
@@ -411,7 +407,7 @@ def buchberger(gens, order, from_pos=0):
             if cop:
                 continue
             alive[(i, t)] = L
-            heapq.heappush(heap, (degree(L), _Ascending(key(L)), i, t))
+            heapq.heappush(heap, (degree(L), -key(L), i, t))
 
     pack = order.pack
     for d in gens:

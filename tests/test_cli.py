@@ -122,6 +122,19 @@ def test_duplicate_hyperplane_exits_one(tmp_path, capsys):
     assert "duplicate" in out
 
 
+@pytest.mark.parametrize("command", ["chern", "nval"])
+def test_projective_commands_reject_l1_before_any_module(command, tmp_path):
+    # the input is checked first, as verify does: no engine call is made
+    path = _write(tmp_path, "l1.json", {"l": 1, "hyperplanes": [[1]]})
+    report, code = run(_job(command, path, fmt="json"))
+    assert code == 1
+    assert report["error"] == {
+        "type": "input",
+        "message": f"{command} needs an arrangement in C^l with l >= 2; "
+                   "the input has l = 1"}
+    assert set(report["engine"].values()) == {0}
+
+
 def test_malformed_file_exits_one(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -356,13 +369,28 @@ def test_resolution_command_dumps_twists():
 GOLDEN = Path(__file__).parent / "data" / "resolution_golden.json"
 
 
-@pytest.mark.parametrize("name", [name for name, _ in bundled_examples()])
-def test_resolution_maps_match_the_golden_file(name):
+@pytest.mark.parametrize("name,spec", CORPUS, ids=[n for n, _ in CORPUS])
+def test_resolution_maps_match_the_golden_file(name, spec):
     # the minimal maps of D_0, Omega^1 and Omega^1_0 as `resolution`
-    # prints them; CI compares the installed script with the same file
-    report, code = run(_job("resolution", f"example:{name}", fmt="json"))
+    # prints them, which depend on the engine's reduction order; CI
+    # compares the installed script with the same file
+    report, code = run(_job("resolution", spec, fmt="json"))
     assert code == 0
     golden = json.loads(GOLDEN.read_text())
+    assert json.loads(render(report, "json"))["result"] == golden[name]
+
+
+MODULES_GOLDEN = Path(__file__).parent / "data" / "modules_golden.json"
+
+
+@pytest.mark.parametrize("name,spec", CORPUS, ids=[n for n, _ in CORPUS])
+def test_modules_reports_match_the_golden_file(name, spec):
+    # generator degrees, resolution twists and freeness of D_0, D,
+    # Omega^1 and Omega^1_0, and the Saito check on a free D_0; CI compares
+    # the frontier inputs with the same file
+    report, code = run(_job("modules", spec, fmt="json"))
+    assert code == 0
+    golden = json.loads(MODULES_GOLDEN.read_text())
     assert json.loads(render(report, "json"))["result"] == golden[name]
 
 

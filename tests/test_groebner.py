@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from logchern import (EngineStats, GradedFreeModule, MultiPoly,
                       groebner_basis, kernel_generators, normal_form,
                       presentation_of_submodule, stats_scope, syzygies)
+from logchern import groebner
 from logchern.errors import EngineError
 from logchern.groebner import (BasisElem, _lcm, buchberger, content_normalize,
                                exps_divide, reduce_full)
@@ -375,6 +376,28 @@ def test_heap_reduce_matches_linear_scan(order, basis, d, tracked, exact):
     assert (_decoded(reduced, order), scale) == want
     if tracked:
         assert _decoded(got_track, order) == want_track
+
+
+def test_a_term_that_cancels_and_reappears_is_pushed_once(monkeypatch):
+    # x^3 + x^2 y - x y^2 modulo xy - y^2 and x^2 - y^2 (grevlex, x > y):
+    # x * (x^2 - y^2) cancels x y^2, x * (xy - y^2) brings it back, and
+    # y * (xy - y^2) then leaves y^3.  The terms of the input enter the heap
+    # by heapify, so the only push is y^3's: x y^2 kept its heap entry.
+    order = TOPOrder(2)
+    g2 = BasisElem(_packed({(0, (1, 1)): 1, (0, (0, 2)): -1}, order), order)
+    g1 = BasisElem(_packed({(0, (2, 0)): 1, (0, (0, 2)): -1}, order), order)
+    d = {(0, (3, 0)): 1, (0, (2, 1)): 1, (0, (1, 2)): -1}
+    pushed = []
+    real = groebner.heapq.heappush
+
+    def counted(heap, item):
+        pushed.append(item)
+        real(heap, item)
+    monkeypatch.setattr(groebner.heapq, "heappush", counted)
+    reduced, scale = reduce_full(_packed(d, order), {0: [(0, g2), (1, g1)]},
+                                 order)
+    assert (_decoded(reduced, order), scale) == ({(0, (0, 3)): 1}, 1)
+    assert pushed == [order.key(order.pack((0, (0, 3))))]
 
 
 # ----- the packed term layout -----

@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logchern.errors import EngineError
 from logchern.groebner import buchberger
-from logchern.orders import POTOrder, SchreyerOrder, TOPOrder
+from logchern.orders import POS_LIMIT, POTOrder, SchreyerOrder, TOPOrder
 
 ARITY = 3
 RANK = 3
@@ -121,6 +122,43 @@ def test_key_is_memoized_once_per_order():
     t = order.pack((2, (1, 0, 3)))
     assert order.key(t) is order.key(t)
     assert list(order._cache) == [t]
+
+
+def _schreyer_over_twisted_top():
+    parent = TOPOrder(ARITY, (0, 1))
+    leads = [(0, (1, 0, 2)), (1, (0, 0, 0)), (1, (2, 1, 0))]
+    return SchreyerOrder(parent, [parent.pack(t) for t in leads])
+
+
+@pytest.mark.parametrize("make_order", [
+    lambda: POTOrder(ARITY),
+    lambda: TOPOrder(ARITY, (-2, 0, 3)),
+    _schreyer_over_twisted_top,
+], ids=["pot", "top", "schreyer"])
+def test_key_is_an_int_that_the_memo_maps_back_to_its_term(make_order):
+    order = make_order()
+    ts = [order.pack((p, (a, b, c))) for p in range(RANK)
+          for a in range(3) for b in range(2) for c in range(3)]
+    keys = [order.key(t) for t in ts]
+    assert all(type(k) is int for k in keys)
+    assert len(set(keys)) == len(ts)
+    assert [order._term[k] for k in keys] == ts
+
+
+def test_top_position_past_its_field_raises():
+    order = TOPOrder(ARITY)
+    assert order.key(order.pack((POS_LIMIT - 1, (1, 0, 0))))
+    with pytest.raises(EngineError, match=str(POS_LIMIT - 1)):
+        order.key(order.pack((POS_LIMIT, (1, 0, 0))))
+
+
+def test_schreyer_position_past_its_field_raises():
+    parent = TOPOrder(ARITY)
+    order = SchreyerOrder(parent, [parent.pack((0, (1, 0, 0)))]
+                          * (POS_LIMIT + 1))
+    assert order.key(order.pack((POS_LIMIT - 1, (0, 1, 0))))
+    with pytest.raises(EngineError, match=str(POS_LIMIT - 1)):
+        order.key(order.pack((POS_LIMIT, (0, 1, 0))))
 
 
 @pytest.mark.parametrize("make_order", [
